@@ -58,8 +58,14 @@ State& state() {
 }
 
 [[nodiscard]] std::string dim3_str(const gpusim::Dim3& d) {
-  return "(" + std::to_string(d.x) + "," + std::to_string(d.y) + "," +
-         std::to_string(d.z) + ")";
+  std::string out = "(";
+  out += std::to_string(d.x);
+  out += ',';
+  out += std::to_string(d.y);
+  out += ',';
+  out += std::to_string(d.z);
+  out += ')';
+  return out;
 }
 
 /// Opens a new event with everything known at begin time: identity,

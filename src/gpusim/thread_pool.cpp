@@ -1,27 +1,11 @@
 #include "gpusim/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace mcmm::gpusim {
-namespace {
-
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// Brief spins before parking. Kept small: the host may be oversubscribed
-// (the simulator runs more workers than cores on small machines), where
-// long spins only steal cycles from the thread being waited on.
-constexpr int kSpinIters = 64;
-
-}  // namespace
 
 /// One in-flight fork-join batch, living on the submitter's stack.
 struct ThreadPool::Batch {
@@ -32,10 +16,11 @@ struct ThreadPool::Batch {
   std::uint64_t base{};  ///< static: floor chunk size; dynamic: grain
   std::uint64_t rem{};   ///< static: first `rem` chunks get one extra index
   Schedule schedule{Schedule::Static};
-  std::atomic<std::uint64_t> next{0};       ///< chunk ticket dispenser
-  std::atomic<std::uint64_t> remaining{0};  ///< chunks not yet finished
+  std::atomic<std::uint64_t> next{0};  ///< chunk ticket dispenser
   std::atomic<bool> has_error{false};
   std::exception_ptr error;  ///< written by the has_error winner only
+  Batch* next_open = nullptr;  ///< list link, guarded by mu_
+  unsigned pins = 0;           ///< workers holding this batch, under mu_
 
   /// Bounds of chunk `c`. Static chunks tile [0, n) exactly: the first
   /// `rem` chunks carry one extra index, so no chunk is ever empty.
@@ -62,81 +47,55 @@ ThreadPool::ThreadPool(unsigned workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-bool ThreadPool::execute(Batch& batch) {
-  bool did_work = false;
+void ThreadPool::execute(Batch& batch) {
   for (;;) {
     const std::uint64_t c = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= batch.chunk_count) return did_work;
-    did_work = true;
+    if (c >= batch.chunk_count) return;
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
     batch.bounds(c, begin, end);
     try {
       batch.fn(batch.ctx, begin, end);
     } catch (...) {
-      if (!batch.has_error.exchange(true, std::memory_order_acq_rel)) {
+      if (!batch.has_error.exchange(true, std::memory_order_relaxed)) {
         batch.error = std::current_exception();
       }
     }
-    // The final decrement releases every chunk's effects (including the
-    // error slot) to the submitter's acquire load of remaining == 0.
-    if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      batch.remaining.notify_all();
-    }
   }
 }
 
-bool ThreadPool::try_execute_from(Slot& slot) {
-  if (slot.batch.load(std::memory_order_acquire) == nullptr) return false;
-  // Pin the slot before re-reading the pointer: the submitter retires the
-  // descriptor only once `readers` drops to zero, so a non-null pointer
-  // observed under the pin stays valid until we unpin.
-  slot.readers.fetch_add(1, std::memory_order_acq_rel);
-  Batch* batch = slot.batch.load(std::memory_order_acquire);
-  bool did_work = false;
-  if (batch != nullptr) did_work = execute(*batch);
-  slot.readers.fetch_sub(1, std::memory_order_release);
-  return did_work;
+void ThreadPool::unlink(Batch* batch) {
+  for (Batch** p = &open_; *p != nullptr; p = &(*p)->next_open) {
+    if (*p == batch) {
+      *p = batch->next_open;
+      return;
+    }
+  }
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Load the epoch before scanning: work published after the scan bumps
-    // the epoch, so the wait below returns immediately (no lost wake-up).
-    const std::uint64_t seen = epoch_.load(std::memory_order_acquire);
-    if (stop_.load(std::memory_order_acquire)) return;
-    bool did_work = false;
-    for (Slot& slot : slots_) did_work |= try_execute_from(slot);
-    if (did_work) continue;
-    bool bumped = false;
-    for (int i = 0; i < kSpinIters; ++i) {
-      if (epoch_.load(std::memory_order_acquire) != seen) {
-        bumped = true;
-        break;
-      }
-      cpu_relax();
-    }
-    if (!bumped) epoch_.wait(seen, std::memory_order_acquire);
+    work_cv_.wait(lock, [this] { return stop_ || open_ != nullptr; });
+    if (stop_) return;
+    Batch* batch = open_;
+    ++batch->pins;
+    lock.unlock();
+    execute(*batch);
+    lock.lock();
+    // Its tickets are spent: no one else needs to find it. The unpin
+    // publishes this thread's chunk effects to the submitter.
+    unlink(batch);
+    if (--batch->pins == 0) done_cv_.notify_all();
   }
-}
-
-ThreadPool::Slot* ThreadPool::claim_slot(Batch* batch) {
-  for (Slot& slot : slots_) {
-    Batch* expected = nullptr;
-    if (slot.batch.load(std::memory_order_relaxed) == nullptr &&
-        slot.batch.compare_exchange_strong(expected, batch,
-                                           std::memory_order_release,
-                                           std::memory_order_relaxed)) {
-      return &slot;
-    }
-  }
-  return nullptr;
 }
 
 void ThreadPool::run_batch_parallel(std::uint64_t n, ChunkFn fn, void* ctx,
@@ -162,7 +121,6 @@ void ThreadPool::run_batch_parallel(std::uint64_t n, ChunkFn fn, void* ctx,
     batch.base = grain;
     batch.chunk_count = (n + grain - 1) / grain;
   }
-  batch.remaining.store(batch.chunk_count, std::memory_order_relaxed);
 
   // Single-chunk batches run inline on the caller: no publication, no
   // wake-up, and exceptions propagate directly.
@@ -171,52 +129,46 @@ void ThreadPool::run_batch_parallel(std::uint64_t n, ChunkFn fn, void* ctx,
     return;
   }
 
-  Slot* slot = claim_slot(&batch);
-  if (slot == nullptr) {
-    // More concurrent submissions than slots (pathological): degrade to a
-    // serial inline run rather than blocking — still correct, never stuck.
-    fn(ctx, 0, n);
-    return;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    batch.next_open = open_;
+    open_ = &batch;
   }
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
+  work_cv_.notify_all();
 
-  // The submitter works too: on the common path every chunk is consumed
-  // here or by an already-spinning worker without any syscall.
+  // The submitter works too, which guarantees progress with every worker
+  // busy. When this returns every ticket is claimed; after the unlink no
+  // worker can pin the batch, so pins == 0 means all chunks finished.
   execute(batch);
-
-  for (int i = 0;
-       i < kSpinIters && batch.remaining.load(std::memory_order_acquire) != 0;
-       ++i) {
-    cpu_relax();
-  }
-  for (std::uint64_t r;
-       (r = batch.remaining.load(std::memory_order_acquire)) != 0;) {
-    batch.remaining.wait(r, std::memory_order_acquire);
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    unlink(&batch);
+    done_cv_.wait(lock, [&batch] { return batch.pins == 0; });
   }
 
-  // Retire the slot, then wait out any worker still pinning the pointer
-  // (a bounded window: pinned workers only grab empty tickets by now).
-  slot->batch.store(nullptr, std::memory_order_release);
-  while (slot->readers.load(std::memory_order_acquire) != 0) cpu_relax();
-
-  if (batch.has_error.load(std::memory_order_acquire)) {
+  if (batch.has_error.load(std::memory_order_relaxed)) {
     std::rethrow_exception(batch.error);
   }
+}
+
+unsigned worker_count_from_env(const char* env, unsigned hardware_threads) {
+  if (env == nullptr) return 0;
+  const char* const end = env + std::strlen(env);
+  unsigned long long v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ptr == env || ptr != end) return 0;  // empty, non-numeric, trailing
+  if (ec == std::errc::result_out_of_range) v = ~0ULL;
+  if (v == 0) return 0;
+  const unsigned cap = 4 * std::max(1u, hardware_threads);
+  return static_cast<unsigned>(std::min<unsigned long long>(v, cap));
 }
 
 ThreadPool& ThreadPool::global() {
   // MCMM_NUM_THREADS pins the worker count (the OMP_NUM_THREADS idiom).
   // The determinism battery runs the same workload at 1, 4, and
-  // hardware_concurrency workers and asserts bit-identical simulated time;
-  // out-of-range values fall back to the hardware default.
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("MCMM_NUM_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0 && v <= 4096) return static_cast<unsigned>(v);
-    }
-    return 0u;
-  }());
+  // hardware_concurrency workers and asserts bit-identical simulated time.
+  static ThreadPool pool(worker_count_from_env(
+      std::getenv("MCMM_NUM_THREADS"), std::thread::hardware_concurrency()));
   return pool;
 }
 

@@ -1,25 +1,32 @@
 #pragma once
 // The fork-join execution engine behind all simulated kernels.
 //
-// Design (see DESIGN.md Sec. 3, "Execution engine"): each submission builds
-// one batch descriptor on the submitter's stack — kernel thunk, index range,
-// an atomic chunk ticket and an atomic completion countdown — and publishes
-// it into a small array of slots with a single CAS. Workers are woken
-// through an atomic epoch counter (futex-backed C++20 atomic wait), grab
-// chunks by ticket fetch_add, and the last finisher notifies the countdown.
-// The steady-state path therefore takes no mutex and performs no heap
-// allocation; the submitting thread itself participates in chunk execution,
-// which both cuts latency and guarantees progress even when every worker is
-// busy (nested submission from a worker thread cannot deadlock).
+// Design (see DESIGN.md Sec. 3.1, "Execution engine"): each submission
+// builds one batch descriptor on the submitter's stack — kernel thunk,
+// index range, an atomic chunk ticket and a first-error flag. The only
+// shared pool state is one mutex guarding an intrusive list of open
+// batches, each batch's `pins` count and a stop flag, plus two condition
+// variables: one wakes workers, one wakes submitters. The submitter links
+// its batch, wakes the workers and runs chunks itself; a worker pins the
+// head batch under the mutex, grabs chunks by ticket fetch_add unlocked,
+// then unlinks and unpins it under the mutex again. Once its own tickets
+// run out, the submitter unlinks the batch and waits for `pins == 0`.
 //
-// Concurrent submission from multiple host threads is safe by construction:
-// each in-flight batch owns a distinct descriptor/slot, so neither the
-// chunk tickets nor the error state of overlapping batches can interleave.
+// Invariant both waits rely on: a batch can be pinned only while it is
+// linked, and unlinking and unpinning happen under the same mutex. So
+// after the submitter's unlink no new pin can appear, and `pins == 0`
+// means no thread still holds the descriptor and every claimed chunk has
+// finished. Submitter participation guarantees progress, so nested
+// submission from a worker thread cannot deadlock, and concurrent
+// submissions from any number of host threads each own their descriptor.
+// No launch allocates.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -30,6 +37,13 @@ enum class Schedule : std::uint8_t {
   Static,   ///< one contiguous chunk per participant, fixed at submit time
   Dynamic,  ///< participants atomically grab `grain`-sized sub-ranges
 };
+
+/// Worker count requested by an MCMM_NUM_THREADS value `env` (nullptr when
+/// unset) on a host with `hardware_threads` threads. Returns 0 (the pool
+/// default) unless `env` is a positive decimal integer; larger values are
+/// clamped to 4x the hardware threads.
+[[nodiscard]] unsigned worker_count_from_env(const char* env,
+                                             unsigned hardware_threads);
 
 class ThreadPool {
  public:
@@ -88,27 +102,18 @@ class ThreadPool {
  private:
   struct Batch;
 
-  /// One publication slot. `batch` is claimed by submitters via CAS;
-  /// `readers` counts workers currently holding the batch pointer so the
-  /// submitter can retire the stack descriptor safely.
-  struct alignas(64) Slot {
-    std::atomic<Batch*> batch{nullptr};
-    std::atomic<std::uint32_t> readers{0};
-  };
-
-  static constexpr std::size_t kSlots = 16;
-
   void run_batch_parallel(std::uint64_t n, ChunkFn fn, void* ctx,
                           Schedule schedule, std::uint64_t grain);
   void worker_loop();
-  bool try_execute_from(Slot& slot);
-  static bool execute(Batch& batch);
-  Slot* claim_slot(Batch* batch);
+  static void execute(Batch& batch);
+  void unlink(Batch* batch);  ///< caller holds mu_; no-op if not linked
 
-  std::vector<std::thread> threads_;
-  alignas(64) std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<bool> stop_{false};
-  Slot slots_[kSlots];
+  std::mutex mu_;
+  Batch* open_ = nullptr;  ///< open batches, newest first; under mu_
+  bool stop_ = false;      ///< under mu_
+  std::condition_variable work_cv_;  ///< a batch was linked, or stop_
+  std::condition_variable done_cv_;  ///< some batch's pins dropped to 0
+  std::vector<std::thread> threads_;  ///< last: workers use all of the above
 };
 
 }  // namespace mcmm::gpusim

@@ -19,7 +19,10 @@ namespace {
 
 [[nodiscard]] std::string json_str(std::string_view v) {
   // Route labels and enum names contain no characters needing escapes.
-  return "\"" + std::string(v) + "\"";
+  std::string out = "\"";
+  out += v;
+  out += '"';
+  return out;
 }
 
 }  // namespace

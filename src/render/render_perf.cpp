@@ -117,16 +117,27 @@ std::string figure2_markdown(const PerfReport& r) {
       "PP = harmonic mean over vendors (0 when unsupported).\n\n";
   out += "| Model | Kernel |";
   for (const Vendor v : r.config.vendors) {
-    out += " " + std::string(to_string(v)) + " |";
+    out += ' ';
+    out += to_string(v);
+    out += " |";
   }
   out += " PP |\n|---|---|";
   for (std::size_t i = 0; i < r.config.vendors.size(); ++i) out += "---:|";
   out += "---:|\n";
   for (const PerfRow& row : r.rows) {
-    out += "| " + std::string(to_string(row.model)) + " | " +
-           std::string(to_string(row.kernel)) + " |";
-    for (const PerfCell& c : row.cells) out += " " + cell_text(c) + " |";
-    out += " " + fixed(row.pp) + " |\n";
+    out += "| ";
+    out += to_string(row.model);
+    out += " | ";
+    out += to_string(row.kernel);
+    out += " |";
+    for (const PerfCell& c : row.cells) {
+      out += ' ';
+      out += cell_text(c);
+      out += " |";
+    }
+    out += ' ';
+    out += fixed(row.pp);
+    out += " |\n";
   }
   if (!r.weak_scaling.empty()) {
     out += "\n## Weak scaling (graph replay)\n\n";

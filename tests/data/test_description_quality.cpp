@@ -69,8 +69,10 @@ INSTANTIATE_TEST_SUITE_P(
         KeyRoute{43, "v0.9.0"}, KeyRoute{44, "dpctl"},
         KeyRoute{44, "dpnp"}),
     [](const ::testing::TestParamInfo<KeyRoute>& info) {
-      std::string name = "d" + std::to_string(info.param.description_id) +
-                         "_" + info.param.term;
+      std::string name = "d";
+      name += std::to_string(info.param.description_id);
+      name += '_';
+      name += info.param.term;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

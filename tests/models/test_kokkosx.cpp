@@ -111,13 +111,20 @@ TEST_P(KokkosRoutes, ParallelReduceDot) {
   EXPECT_DOUBLE_EQ(dot, 0.25 * n);
 }
 
+// Static storage zero-fills the padding after `vendor`, and gtest prints
+// the parameter's raw bytes into each test's name, so a table keeps the
+// names the same from build to build.
+constexpr SpaceVendor kKokkosRoutes[] = {
+    {ExecSpace::Cuda, Vendor::NVIDIA},
+    {ExecSpace::HIP, Vendor::AMD},
+    {ExecSpace::SYCL, Vendor::Intel},
+    {ExecSpace::OpenMPTarget, Vendor::NVIDIA},
+    {ExecSpace::OpenMPTarget, Vendor::AMD},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Figure1KokkosColumn, KokkosRoutes,
-    ::testing::Values(SpaceVendor{ExecSpace::Cuda, Vendor::NVIDIA},
-                      SpaceVendor{ExecSpace::HIP, Vendor::AMD},
-                      SpaceVendor{ExecSpace::SYCL, Vendor::Intel},
-                      SpaceVendor{ExecSpace::OpenMPTarget, Vendor::NVIDIA},
-                      SpaceVendor{ExecSpace::OpenMPTarget, Vendor::AMD}),
+    ::testing::ValuesIn(kKokkosRoutes),
     [](const ::testing::TestParamInfo<SpaceVendor>& info) {
       return std::string(to_string(info.param.space)) + "_" +
              std::string(to_string(info.param.vendor));

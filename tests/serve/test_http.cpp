@@ -112,7 +112,9 @@ TEST(HttpParser, RejectsTooManyHeaders) {
   RequestParser p(limits);
   std::string wire = "GET / HTTP/1.1\r\n";
   for (int i = 0; i < 6; ++i) {
-    wire += "H" + std::to_string(i) + ": v\r\n";
+    wire += 'H';
+    wire += std::to_string(i);
+    wire += ": v\r\n";
   }
   wire += "\r\n";
   EXPECT_EQ(p.feed(wire), Status::Error);

@@ -340,10 +340,13 @@ int sanitize_wrapped(const std::vector<std::string>& command,
                      const std::string& report_path, bool json) {
   const std::string report_file =
       report_path.empty() ? ".mcmm_gpusan_report.json" : report_path;
-  std::string cmdline = "MCMM_GPUSAN=" + shell_quote(passes_spec) +
-                        " MCMM_GPUSAN_REPORT=" + shell_quote(report_file);
+  std::string cmdline = "MCMM_GPUSAN=";
+  cmdline += shell_quote(passes_spec);
+  cmdline += " MCMM_GPUSAN_REPORT=";
+  cmdline += shell_quote(report_file);
   for (const std::string& word : command) {
-    cmdline += " " + shell_quote(word);
+    cmdline += ' ';
+    cmdline += shell_quote(word);
   }
   const int child_status = std::system(cmdline.c_str());
 
@@ -470,16 +473,19 @@ int profile_wrapped(const std::vector<std::string>& command,
                     bool allow_empty) {
   const std::string report_file =
       report_path.empty() ? ".mcmm_gpuprof_report.json" : report_path;
-  std::string cmdline =
-      "MCMM_GPUPROF=1 MCMM_GPUPROF_REPORT=" + shell_quote(report_file);
+  std::string cmdline = "MCMM_GPUPROF=1 MCMM_GPUPROF_REPORT=";
+  cmdline += shell_quote(report_file);
   if (!chrome_path.empty()) {
-    cmdline += " MCMM_GPUPROF_TRACE=" + shell_quote(chrome_path);
+    cmdline += " MCMM_GPUPROF_TRACE=";
+    cmdline += shell_quote(chrome_path);
   }
   if (!csv_path.empty()) {
-    cmdline += " MCMM_GPUPROF_CSV=" + shell_quote(csv_path);
+    cmdline += " MCMM_GPUPROF_CSV=";
+    cmdline += shell_quote(csv_path);
   }
   for (const std::string& word : command) {
-    cmdline += " " + shell_quote(word);
+    cmdline += ' ';
+    cmdline += shell_quote(word);
   }
   const int child_status = std::system(cmdline.c_str());
 
