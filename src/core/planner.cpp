@@ -20,16 +20,15 @@ namespace {
   return true;
 }
 
-/// Best acceptable route on an entry, or nullopt.
-[[nodiscard]] std::optional<Route> best_route(const SupportEntry& e,
-                                              const PlannerQuery& q) {
+/// Best acceptable route on an entry, or nullptr.
+[[nodiscard]] const Route* best_route(const SupportEntry& e,
+                                      const PlannerQuery& q) {
   const Route* best = nullptr;
   for (const Route& r : e.routes) {
     if (!route_acceptable(r, q)) continue;
     if (best == nullptr || route_rank(r) > route_rank(*best)) best = &r;
   }
-  if (best == nullptr) return std::nullopt;
-  return *best;
+  return best;
 }
 
 [[nodiscard]] bool category_acceptable(const SupportEntry& e,
@@ -77,8 +76,8 @@ std::vector<PlannedRoute> RoutePlanner::plan(const PlannerQuery& q) const {
         }
         continue;
       }
-      const std::optional<Route> r = best_route(*e, q);
-      if (!r.has_value()) {
+      const Route* r = best_route(*e, q);
+      if (r == nullptr) {
         if (!q.must_run_on.empty()) {
           feasible = false;
           break;
@@ -86,7 +85,7 @@ std::vector<PlannedRoute> RoutePlanner::plan(const PlannerQuery& q) const {
         continue;
       }
       plan.platforms.push_back(PlannedRoute::PerVendor{
-          v, e->best_category(), *r});
+          v, e->best_category(), r});
       min_cell_score = std::min(min_cell_score, score(e->best_category()));
       route_rank_sum += route_rank(*r);
     }

@@ -4,7 +4,6 @@
 // constraints, it enumerates and ranks the concrete routes recorded in the
 // knowledge base.
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,9 @@ struct PlannedRoute {
   struct PerVendor {
     Vendor vendor{};
     SupportCategory category{};
-    Route route;
+    /// Points into the CompatibilityMatrix the planner was built on, which
+    /// must outlive the plan; never null.
+    const Route* route{};
   };
   std::vector<PerVendor> platforms;
   /// Aggregate rank (higher is better): min cell score across platforms,

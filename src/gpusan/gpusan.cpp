@@ -86,17 +86,24 @@ State& state() {
 
 /// Locates the device whose allocator knows this range. Returns the vendor
 /// index (-1 when no device claims it) and the allocator's classification.
+/// A live block on any device outranks another device's quarantine record:
+/// a block freed without red zones (e.g. before the sanitizer was enabled)
+/// went straight back to the heap, so its address may since have been
+/// handed to another device's live allocation.
 [[nodiscard]] std::pair<int, gpusim::RangeQuery> classify_range(
     const void* p, std::size_t bytes) {
+  std::pair<int, gpusim::RangeQuery> freed{-1, gpusim::RangeQuery{}};
   for (Vendor v : kVendors) {
     for (gpusim::Device* dev : gpusim::Platform::instance().devices_of(v)) {
       gpusim::RangeQuery q = dev->allocator().query_range(p, bytes);
-      if (q.status != gpusim::RangeStatus::Unknown) {
+      if (q.status == gpusim::RangeStatus::Unknown) continue;
+      if (q.status != gpusim::RangeStatus::UseAfterFree) {
         return {static_cast<int>(v), std::move(q)};
       }
+      if (freed.first < 0) freed = {static_cast<int>(v), std::move(q)};
     }
   }
-  return {-1, gpusim::RangeQuery{}};
+  return freed;
 }
 
 /// Must be called with s.mu held.

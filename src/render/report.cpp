@@ -74,13 +74,13 @@ std::string plan_report(const std::vector<PlannedRoute>& plans) {
     out << i++ << ". " << to_string(p.model) << " (rank " << p.rank << ")\n";
     for (const auto& pv : p.platforms) {
       out << "     " << std::setw(6) << to_string(pv.vendor) << ": "
-          << category_name(pv.category) << " via " << pv.route.name << " ("
-          << pv.route.toolchain;
-      for (const std::string& f : pv.route.flags) out << " " << f;
+          << category_name(pv.category) << " via " << pv.route->name << " ("
+          << pv.route->toolchain;
+      for (const std::string& f : pv.route->flags) out << " " << f;
       out << ")";
-      if (!pv.route.environment.empty()) {
+      if (!pv.route->environment.empty()) {
         out << " env:";
-        for (const std::string& e : pv.route.environment) out << " " << e;
+        for (const std::string& e : pv.route->environment) out << " " << e;
       }
       out << "\n";
     }

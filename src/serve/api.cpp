@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <unordered_map>
 #include <utility>
 
 #include "core/claims.hpp"
@@ -271,22 +272,32 @@ bool parse_plan_query(const JsonValue& doc, PlannerQuery& q,
   return true;
 }
 
-std::string plan_json(const PlannerQuery& q,
-                      const std::vector<PlannedRoute>& plans) {
+/// Appends `in` as a JSON string, escaped straight into `out`.
+void append_quoted(std::string& out, std::string_view in) {
+  out += '"';
+  json_escape(out, in);
+  out += '"';
+}
+
+/// `route_json` holds every route of the matrix the plans were made on,
+/// rendered once; each planned route is spliced in from there.
+std::string plan_json(
+    const PlannerQuery& q, const std::vector<PlannedRoute>& plans,
+    const std::unordered_map<const Route*, std::string>& route_json) {
   std::string out = "{\"schema\":\"mcmm-serve-v1\",\"query\":{\"language\":";
-  out += json_quote(to_string(q.language));
+  append_quoted(out, to_string(q.language));
   out += ",\"must_run_on\":[";
   for (std::size_t i = 0; i < q.must_run_on.size(); ++i) {
     if (i != 0) out += ',';
-    out += json_quote(to_string(q.must_run_on[i]));
+    append_quoted(out, to_string(q.must_run_on[i]));
   }
   out += "],\"allowed_models\":[";
   for (std::size_t i = 0; i < q.allowed_models.size(); ++i) {
     if (i != 0) out += ',';
-    out += json_quote(to_string(q.allowed_models[i]));
+    append_quoted(out, to_string(q.allowed_models[i]));
   }
   out += "],\"minimum_category\":";
-  out += json_quote(category_name(q.minimum_category));
+  append_quoted(out, category_name(q.minimum_category));
   out += ",\"require_maintained\":";
   out += q.require_maintained ? "true" : "false";
   out += ",\"require_vendor_support\":";
@@ -300,21 +311,21 @@ std::string plan_json(const PlannerQuery& q,
     const PlannedRoute& p = plans[i];
     if (i != 0) out += ',';
     out += "{\"model\":";
-    out += json_quote(to_string(p.model));
+    append_quoted(out, to_string(p.model));
     out += ",\"rank\":";
     out += std::to_string(p.rank);
     out += ",\"rationale\":";
-    out += json_quote(p.rationale);
+    append_quoted(out, p.rationale);
     out += ",\"platforms\":[";
     for (std::size_t j = 0; j < p.platforms.size(); ++j) {
       const PlannedRoute::PerVendor& v = p.platforms[j];
       if (j != 0) out += ',';
       out += "{\"vendor\":";
-      out += json_quote(to_string(v.vendor));
+      append_quoted(out, to_string(v.vendor));
       out += ",\"category\":";
-      out += json_quote(category_name(v.category));
+      append_quoted(out, category_name(v.category));
       out += ",\"route\":";
-      append_route(out, v.route);
+      out += route_json.at(v.route);
       out += '}';
     }
     out += "]}";
@@ -417,6 +428,7 @@ Api::Api(const CompatibilityMatrix& matrix, const Metrics* metrics,
   for (const SupportEntry* e : matrix.entries()) {
     cells_.emplace(e->combo,
                    make_cached(cell_json(matrix, *e), "application/json"));
+    for (const Route& r : e->routes) append_route(route_json_[&r], r);
   }
   claims_ = make_cached(claims_json(matrix), "application/json");
   index_ = make_cached(index_json(), "application/json");
@@ -528,7 +540,7 @@ Response Api::handle_plan(const Request& req) const {
   }
   const RoutePlanner planner(*matrix_);
   Response r;
-  r.body = plan_json(query, planner.plan(query));
+  r.body = plan_json(query, planner.plan(query), route_json_);
   return r;
 }
 

@@ -4,7 +4,9 @@
 // every GET response body is rendered once at construction, given a strong
 // ETag, and served from the cache afterwards — request handling on the hot
 // path is a lookup plus an If-None-Match comparison, safe to call from any
-// number of worker threads concurrently.
+// number of worker threads concurrently. POST /v1/plan is computed per
+// request, but its planned routes point into the matrix, and each route's
+// JSON object is also rendered once at construction and spliced in.
 //
 //   GET  /            endpoint index
 //   GET  /v1/matrix   ?format=json|txt|md|csv|html|latex|yaml (json default)
@@ -20,6 +22,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "core/matrix.hpp"
 #include "perfport/perfport.hpp"
@@ -74,6 +77,8 @@ class Api {
   /// Empty when the perf campaign was not run (then /v1/perf is a 404).
   std::map<std::string, Cached, std::less<>> perf_formats_;
   std::map<Combination, Cached> cells_;
+  /// Every route of the matrix as a JSON object, keyed by its address.
+  std::unordered_map<const Route*, std::string> route_json_;
   Cached claims_;
   Cached index_;
 };

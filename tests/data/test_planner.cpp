@@ -63,7 +63,7 @@ TEST(Planner, OpenACCOnIntelOnlyAtLimitedTier) {
   q.minimum_category = SupportCategory::Limited;
   const auto plans = planner().plan(q);
   ASSERT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans[0].platforms[0].route.kind, RouteKind::Translator);
+  EXPECT_EQ(plans[0].platforms[0].route->kind, RouteKind::Translator);
 }
 
 TEST(Planner, SyclFortranIsInfeasibleEverywhere) {
@@ -101,7 +101,7 @@ TEST(Planner, RequireMaintainedDropsGpufortRoute) {
   q.require_maintained = false;
   const auto plans = planner().plan(q);
   ASSERT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans[0].platforms[0].route.name, "GPUFORT");
+  EXPECT_EQ(plans[0].platforms[0].route->name, "GPUFORT");
 }
 
 TEST(Planner, VendorSupportFilterExcludesCommunityRoutes) {
@@ -141,7 +141,7 @@ TEST(Planner, EveryPlanHasRationaleAndRoutes) {
     EXPECT_FALSE(p.rationale.empty());
     EXPECT_FALSE(p.platforms.empty());
     for (const auto& pv : p.platforms) {
-      EXPECT_FALSE(pv.route.name.empty());
+      EXPECT_FALSE(pv.route->name.empty());
     }
   }
 }
@@ -167,7 +167,7 @@ TEST(Planner, TranslatorFilterKeepsCompilerRoutes) {
   q.allow_translators = false;
   const auto plans = planner().plan(q);
   ASSERT_EQ(plans.size(), 1u);
-  EXPECT_NE(plans[0].platforms[0].route.kind, RouteKind::Translator);
+  EXPECT_NE(plans[0].platforms[0].route->kind, RouteKind::Translator);
 }
 
 TEST(Planner, PythonQueryWorks) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -161,7 +162,8 @@ TEST(GraphCapture, CaptureRecordsWithoutExecutingOrAdvancingClock) {
   auto* d = static_cast<double*>(dev.allocate(n * sizeof(double)));
   q.memset(d, 0, n * sizeof(double));
   const double before = q.simulated_time_us();
-  int host_hits = 0;
+  // Replay runs the body on several pool threads.
+  std::atomic<int> host_hits{0};
   Graph graph;
   q.begin_capture(graph);
   EXPECT_TRUE(q.capturing());
@@ -173,11 +175,12 @@ TEST(GraphCapture, CaptureRecordsWithoutExecutingOrAdvancingClock) {
            });
   EXPECT_EQ(q.end_capture(), 1u);
   EXPECT_FALSE(q.capturing());
-  EXPECT_EQ(host_hits, 0) << "capture mode must record, not execute";
+  EXPECT_EQ(host_hits.load(), 0) << "capture mode must record, not execute";
   EXPECT_EQ(q.simulated_time_us(), before)
       << "capture mode must not advance the simulated clock";
   ExecutableGraph exec(graph, q);
   (void)exec.replay(q);
+  EXPECT_EQ(host_hits.load(), static_cast<int>(n));
   std::vector<double> h(n);
   q.memcpy(h.data(), d, n * sizeof(double), CopyKind::DeviceToHost);
   EXPECT_EQ(h.front(), 1.0);
