@@ -4,6 +4,7 @@
 // constraints, it enumerates and ranks the concrete routes recorded in the
 // knowledge base.
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -51,14 +52,36 @@ struct PlannedRoute {
 
 class RoutePlanner {
  public:
-  explicit RoutePlanner(const CompatibilityMatrix& matrix) : matrix_(&matrix) {}
+  /// Decides every cell once: each query is then table lookups and a sort.
+  /// `matrix` must outlive the planner and the plans it returns.
+  explicit RoutePlanner(const CompatibilityMatrix& matrix);
 
   /// Returns recommendations sorted best-first. Empty result means no model
   /// satisfies the constraints (e.g. OpenACC-only + must_run_on Intel).
   [[nodiscard]] std::vector<PlannedRoute> plan(const PlannerQuery& q) const;
 
  private:
-  const CompatibilityMatrix* matrix_;
+  /// What a query needs to know about one (vendor, model, language) cell.
+  struct Cell {
+    bool present{};  ///< the matrix has the cell
+    bool usable{};
+    SupportCategory best{SupportCategory::None};
+    int best_score{};
+    /// Best score among the vendor-provided ratings; -1 when there is none.
+    int best_vendor_score{-1};
+    /// The best acceptable route for each combination of the query's three
+    /// route flags, or nullptr.
+    std::array<const Route*, 8> best_route{};
+  };
+
+  /// Vendors x models x the three languages.
+  static constexpr std::size_t kCells =
+      kAllVendors.size() * kAllModels.size() * 3;
+
+  [[nodiscard]] static std::size_t cell_index(Vendor v, Model m,
+                                              Language l) noexcept;
+
+  std::array<Cell, kCells> cells_{};
 };
 
 }  // namespace mcmm

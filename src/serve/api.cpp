@@ -2,11 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
 #include "core/claims.hpp"
-#include "core/planner.hpp"
 #include "render/perf.hpp"
 #include "render/render.hpp"
 #include "serve/json.hpp"
@@ -169,107 +171,79 @@ std::string index_json() {
 
 // --- POST /v1/plan body -> PlannerQuery ----------------------------------
 
-/// Reads a string array member into `out` via `parse` (vendors/models).
+/// The plan body reader's state: the JSON cursor and the first semantic
+/// error. After that error the rest of the body is still read, for syntax
+/// only, so that a later syntax error is the one reported.
+struct PlanBodyReader {
+  JsonReader json;
+  std::string rejected;
+
+  void reject(std::string_view what, std::string_view detail = {}) {
+    if (!rejected.empty()) return;
+    rejected = what;
+    rejected += detail;
+  }
+};
+
+/// Reads one string naming an enum value into `out` via `parse`; false
+/// when the value was rejected or malformed. `not_string` completes the
+/// message for a value of another type.
 template <typename T, typename Parse>
-bool read_enum_array(const JsonValue& node, Parse parse, std::vector<T>& out,
-                     std::string& error, const char* what) {
-  if (node.kind != JsonValue::Kind::Array) {
-    error = std::string(what) + " must be an array of strings";
+bool read_enum(PlanBodyReader& r, Parse parse, std::string_view what,
+               std::string_view not_string, T& out) {
+  JsonKind kind{};
+  if (!r.json.begin_value(kind)) return false;
+  if (kind != JsonKind::String) {
+    r.reject(what, not_string);
+    r.json.skip_rest(kind);
     return false;
   }
-  for (const JsonValue& item : node.array) {
-    if (item.kind != JsonValue::Kind::String) {
-      error = std::string(what) + " must contain only strings";
-      return false;
-    }
-    const auto parsed = parse(item.string);
-    if (!parsed) {
-      error = "unknown " + std::string(what) + ": " + item.string;
-      return false;
-    }
-    out.push_back(*parsed);
+  const auto parsed = parse(r.json.string());
+  if (!parsed) {
+    std::string message = "unknown ";
+    message += what;
+    message += ": ";
+    r.reject(message, r.json.string());
+    return false;
   }
+  out = *parsed;
   return true;
 }
 
-bool read_bool(const JsonValue& node, bool& out, std::string& error,
-               const char* what) {
-  if (node.kind != JsonValue::Kind::Bool) {
-    error = std::string(what) + " must be a boolean";
-    return false;
+/// Reads an array of enum names, appending to `out` (a repeated key
+/// appends again). `distinct` is the number of enum values, by which `out`
+/// grows at once.
+template <typename T, typename Parse>
+void read_enum_array(PlanBodyReader& r, Parse parse, std::string_view what,
+                     std::size_t distinct, std::vector<T>& out) {
+  JsonKind kind{};
+  if (!r.json.begin_value(kind)) return;
+  if (kind != JsonKind::Array) {
+    r.reject(what, " must be an array of strings");
+    r.json.skip_rest(kind);
+    return;
   }
-  out = node.boolean;
-  return true;
-}
-
-/// Builds a PlannerQuery from the request document; false + `error` on any
-/// unknown key, missing language, or type mismatch (strict by design — a
-/// typo'd constraint silently ignored would return wrong advice).
-bool parse_plan_query(const JsonValue& doc, PlannerQuery& q,
-                      std::string& error) {
-  if (doc.kind != JsonValue::Kind::Object) {
-    error = "request body must be a JSON object";
-    return false;
-  }
-  bool have_language = false;
-  for (const auto& [key, value] : doc.object) {
-    if (key == "language") {
-      if (value.kind != JsonValue::Kind::String) {
-        error = "language must be a string";
-        return false;
-      }
-      const auto language = parse_language(value.string);
-      if (!language) {
-        error = "unknown language: " + value.string;
-        return false;
-      }
-      q.language = *language;
-      have_language = true;
-    } else if (key == "must_run_on") {
-      if (!read_enum_array(value, parse_vendor, q.must_run_on, error,
-                           "must_run_on")) {
-        return false;
-      }
-    } else if (key == "allowed_models") {
-      if (!read_enum_array(value, parse_model, q.allowed_models, error,
-                           "allowed_models")) {
-        return false;
-      }
-    } else if (key == "minimum_category") {
-      if (value.kind != JsonValue::Kind::String) {
-        error = "minimum_category must be a string";
-        return false;
-      }
-      const auto category = parse_category(value.string);
-      if (!category) {
-        error = "unknown minimum_category: " + value.string;
-        return false;
-      }
-      q.minimum_category = *category;
-    } else if (key == "require_maintained") {
-      if (!read_bool(value, q.require_maintained, error,
-                     "require_maintained")) {
-        return false;
-      }
-    } else if (key == "require_vendor_support") {
-      if (!read_bool(value, q.require_vendor_support, error,
-                     "require_vendor_support")) {
-        return false;
-      }
-    } else if (key == "allow_translators") {
-      if (!read_bool(value, q.allow_translators, error, "allow_translators")) {
-        return false;
-      }
-    } else {
-      error = "unknown key: " + key;
-      return false;
+  while (r.json.next_element()) {
+    T item{};
+    if (!r.rejected.empty()) {
+      r.json.skip_value();
+    } else if (read_enum(r, parse, what, " must contain only strings",
+                         item)) {
+      if (out.size() == out.capacity()) out.reserve(out.size() + distinct);
+      out.push_back(item);
     }
   }
-  if (!have_language) {
-    error = "missing required key: language";
-    return false;
+}
+
+void read_bool(PlanBodyReader& r, std::string_view what, bool& out) {
+  JsonKind kind{};
+  if (!r.json.begin_value(kind)) return;
+  if (kind != JsonKind::Bool) {
+    r.reject(what, " must be a boolean");
+    r.json.skip_rest(kind);
+    return;
   }
-  return true;
+  out = r.json.boolean();
 }
 
 /// Appends `in` as a JSON string, escaped straight into `out`.
@@ -279,12 +253,29 @@ void append_quoted(std::string& out, std::string_view in) {
   out += '"';
 }
 
-/// `route_json` holds every route of the matrix the plans were made on,
-/// rendered once; each planned route is spliced in from there.
+/// Appends the decimal form of `n`.
+template <typename Int>
+void append_int(std::string& out, Int n) {
+  char digits[20];
+  out.append(digits, std::to_chars(digits, std::end(digits), n).ptr);
+}
+
+/// `platform_json` holds every route of the matrix as the whole platform
+/// object a plan lists it in, rendered once; each planned route is spliced
+/// in from there. `max_platform_json` is the longest of them.
 std::string plan_json(
     const PlannerQuery& q, const std::vector<PlannedRoute>& plans,
-    const std::unordered_map<const Route*, std::string>& route_json) {
-  std::string out = "{\"schema\":\"mcmm-serve-v1\",\"query\":{\"language\":";
+    const std::unordered_map<const Route*, std::string>& platform_json,
+    std::size_t max_platform_json) {
+  // A bound on the body size, so that it is allocated once.
+  std::size_t size =
+      320 + 16 * (q.must_run_on.size() + q.allowed_models.size());
+  for (const PlannedRoute& p : plans) {
+    size += 80 + p.rationale.size() + p.platforms.size() * max_platform_json;
+  }
+  std::string out;
+  out.reserve(size);
+  out += "{\"schema\":\"mcmm-serve-v1\",\"query\":{\"language\":";
   append_quoted(out, to_string(q.language));
   out += ",\"must_run_on\":[";
   for (std::size_t i = 0; i < q.must_run_on.size(); ++i) {
@@ -305,7 +296,7 @@ std::string plan_json(
   out += ",\"allow_translators\":";
   out += q.allow_translators ? "true" : "false";
   out += "},\"route_count\":";
-  out += std::to_string(plans.size());
+  append_int(out, plans.size());
   out += ",\"routes\":[";
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const PlannedRoute& p = plans[i];
@@ -313,20 +304,13 @@ std::string plan_json(
     out += "{\"model\":";
     append_quoted(out, to_string(p.model));
     out += ",\"rank\":";
-    out += std::to_string(p.rank);
+    append_int(out, p.rank);
     out += ",\"rationale\":";
     append_quoted(out, p.rationale);
     out += ",\"platforms\":[";
     for (std::size_t j = 0; j < p.platforms.size(); ++j) {
-      const PlannedRoute::PerVendor& v = p.platforms[j];
       if (j != 0) out += ',';
-      out += "{\"vendor\":";
-      append_quoted(out, to_string(v.vendor));
-      out += ",\"category\":";
-      append_quoted(out, category_name(v.category));
-      out += ",\"route\":";
-      out += route_json.at(v.route);
-      out += '}';
+      out += platform_json.at(p.platforms[j].route);
     }
     out += "]}";
   }
@@ -364,6 +348,58 @@ Response method_not_allowed(std::string_view allow) {
 
 }  // namespace
 
+bool read_plan_query(std::string_view body, PlannerQuery& q,
+                     std::string& error) {
+  PlanBodyReader r{JsonReader(body), {}};
+  bool have_language = false;
+  JsonKind kind{};
+  if (r.json.begin_value(kind)) {
+    if (kind != JsonKind::Object) {
+      r.reject("request body must be a JSON object");
+      r.json.skip_rest(kind);
+    }
+    while (kind == JsonKind::Object && r.json.next_member()) {
+      const std::string_view key = r.json.string();
+      if (!r.rejected.empty()) {
+        r.json.skip_value();
+      } else if (key == "language") {
+        have_language |= read_enum(r, parse_language, "language",
+                                   " must be a string", q.language);
+      } else if (key == "must_run_on") {
+        read_enum_array(r, parse_vendor, "must_run_on", kAllVendors.size(),
+                        q.must_run_on);
+      } else if (key == "allowed_models") {
+        read_enum_array(r, parse_model, "allowed_models", kAllModels.size(),
+                        q.allowed_models);
+      } else if (key == "minimum_category") {
+        read_enum(r, parse_category, "minimum_category", " must be a string",
+                  q.minimum_category);
+      } else if (key == "require_maintained") {
+        read_bool(r, "require_maintained", q.require_maintained);
+      } else if (key == "require_vendor_support") {
+        read_bool(r, "require_vendor_support", q.require_vendor_support);
+      } else if (key == "allow_translators") {
+        read_bool(r, "allow_translators", q.allow_translators);
+      } else {
+        r.reject("unknown key: ", key);
+        r.json.skip_value();
+      }
+    }
+    r.json.finish();
+  }
+  if (r.json.failed()) {
+    error = "invalid JSON body: ";
+    error += r.json.error();
+  } else if (!r.rejected.empty()) {
+    error = std::move(r.rejected);
+  } else if (!have_language) {
+    error = "missing required key: language";
+  } else {
+    return true;
+  }
+  return false;
+}
+
 std::string etag_for(std::string_view body) {
   // FNV-1a 64: cheap, stable across runs (no seed), and collision-safe
   // enough for a cache of ~60 immutable resources.
@@ -389,7 +425,7 @@ Api::Cached Api::make_cached(std::string body, std::string content_type) {
 Api::Api(const CompatibilityMatrix& matrix, const Metrics* metrics,
          const std::atomic<bool>* draining,
          const perfport::PerfReport* perf)
-    : matrix_(&matrix), metrics_(metrics), draining_(draining) {
+    : metrics_(metrics), draining_(draining), planner_(matrix) {
   const char* text_plain = "text/plain; charset=utf-8";
   matrix_formats_.emplace(
       "json", make_cached(matrix_json(matrix), "application/json"));
@@ -428,7 +464,17 @@ Api::Api(const CompatibilityMatrix& matrix, const Metrics* metrics,
   for (const SupportEntry* e : matrix.entries()) {
     cells_.emplace(e->combo,
                    make_cached(cell_json(matrix, *e), "application/json"));
-    for (const Route& r : e->routes) append_route(route_json_[&r], r);
+    for (const Route& r : e->routes) {
+      std::string& json = platform_json_[&r];
+      json = "{\"vendor\":";
+      json += json_quote(to_string(e->combo.vendor));
+      json += ",\"category\":";
+      json += json_quote(category_name(e->best_category()));
+      json += ",\"route\":";
+      append_route(json, r);
+      json += '}';
+      max_platform_json_ = std::max(max_platform_json_, json.size());
+    }
   }
   claims_ = make_cached(claims_json(matrix), "application/json");
   index_ = make_cached(index_json(), "application/json");
@@ -528,19 +574,14 @@ Response Api::handle_cell(const Request& req) const {
 }
 
 Response Api::handle_plan(const Request& req) const {
-  std::string parse_error;
-  const auto doc = json_parse(req.body, &parse_error);
-  if (!doc) {
-    return error_response(400, "invalid JSON body: " + parse_error);
-  }
   PlannerQuery query;
-  std::string query_error;
-  if (!parse_plan_query(*doc, query, query_error)) {
-    return error_response(400, query_error);
+  std::string error;
+  if (!read_plan_query(req.body, query, error)) {
+    return error_response(400, error);
   }
-  const RoutePlanner planner(*matrix_);
   Response r;
-  r.body = plan_json(query, planner.plan(query), route_json_);
+  r.body = plan_json(query, planner_.plan(query), platform_json_,
+                     max_platform_json_);
   return r;
 }
 

@@ -5,8 +5,9 @@
 // ETag, and served from the cache afterwards — request handling on the hot
 // path is a lookup plus an If-None-Match comparison, safe to call from any
 // number of worker threads concurrently. POST /v1/plan is computed per
-// request, but its planned routes point into the matrix, and each route's
-// JSON object is also rendered once at construction and spliced in.
+// request: its body is read straight into a PlannerQuery, the planner
+// built at construction answers it from per-cell tables, and each planned
+// route's platform object, rendered once at construction, is spliced in.
 //
 //   GET  /            endpoint index
 //   GET  /v1/matrix   ?format=json|txt|md|csv|html|latex|yaml (json default)
@@ -25,6 +26,7 @@
 #include <unordered_map>
 
 #include "core/matrix.hpp"
+#include "core/planner.hpp"
 #include "perfport/perfport.hpp"
 #include "serve/http.hpp"
 #include "serve/metrics.hpp"
@@ -33,6 +35,15 @@ namespace mcmm::serve {
 
 /// Strong ETag (quoted 64-bit FNV-1a hex) over a response body.
 [[nodiscard]] std::string etag_for(std::string_view body);
+
+/// Reads a POST /v1/plan body into `q`. Strict: an unknown key, a missing
+/// language or a type mismatch is an error (a typo'd constraint silently
+/// ignored would return wrong advice). A syntax error anywhere in the body
+/// is reported ahead of any other error. A repeated key appends again to an
+/// array and overwrites a scalar. On failure returns false with the error
+/// response's detail in `error`.
+[[nodiscard]] bool read_plan_query(std::string_view body, PlannerQuery& q,
+                                   std::string& error);
 
 class Api {
  public:
@@ -70,15 +81,17 @@ class Api {
   /// the draining flag are live signals the gateway's balancer consumes.
   [[nodiscard]] Response handle_health() const;
 
-  const CompatibilityMatrix* matrix_;
   const Metrics* metrics_;
   const std::atomic<bool>* draining_;
+  RoutePlanner planner_;
   std::map<std::string, Cached, std::less<>> matrix_formats_;
   /// Empty when the perf campaign was not run (then /v1/perf is a 404).
   std::map<std::string, Cached, std::less<>> perf_formats_;
   std::map<Combination, Cached> cells_;
-  /// Every route of the matrix as a JSON object, keyed by its address.
-  std::unordered_map<const Route*, std::string> route_json_;
+  /// Every route of the matrix as the platform object a plan lists it in
+  /// ({"vendor":…,"category":…,"route":{…}}), keyed by its address.
+  std::unordered_map<const Route*, std::string> platform_json_;
+  std::size_t max_platform_json_{};
   Cached claims_;
   Cached index_;
 };

@@ -109,25 +109,38 @@ TEST(HttpParser, RejectsOversizedHeaderSection) {
 TEST(HttpParser, RejectsTooManyHeaders) {
   Limits limits;
   limits.max_header_count = 4;
-  RequestParser p(limits);
-  std::string wire = "GET / HTTP/1.1\r\n";
-  for (int i = 0; i < 6; ++i) {
-    wire += 'H';
-    wire += std::to_string(i);
-    wire += ": v\r\n";
-  }
-  wire += "\r\n";
-  EXPECT_EQ(p.feed(wire), Status::Error);
-  EXPECT_EQ(p.error_status(), 431);
+  const auto with_headers = [](int count) {
+    std::string wire = "GET / HTTP/1.1\r\n";
+    for (int i = 0; i < count; ++i) {
+      wire += 'H';
+      wire += std::to_string(i);
+      wire += ": v\r\n";
+    }
+    return wire + "\r\n";
+  };
+  // Exactly at the limit parses; one more header is a 431.
+  RequestParser at_limit(limits);
+  EXPECT_EQ(at_limit.feed(with_headers(4)), Status::Complete);
+  EXPECT_EQ(at_limit.take_request().headers.size(), 4u);
+  RequestParser over(limits);
+  EXPECT_EQ(over.feed(with_headers(5)), Status::Error);
+  EXPECT_EQ(over.error_status(), 431);
 }
 
 TEST(HttpParser, RejectsOversizedBody) {
   Limits limits;
   limits.max_body = 16;
-  RequestParser p(limits);
-  EXPECT_EQ(p.feed("POST /v1/plan HTTP/1.1\r\nContent-Length: 17\r\n\r\n"),
-            Status::Error);
-  EXPECT_EQ(p.error_status(), 413);
+  // A body of exactly max_body bytes is accepted; one more byte is a 413.
+  RequestParser at_limit(limits);
+  EXPECT_EQ(at_limit.feed("POST /v1/plan HTTP/1.1\r\nContent-Length: 16\r\n"
+                          "\r\n0123456789abcdef"),
+            Status::Complete);
+  EXPECT_EQ(at_limit.take_request().body, "0123456789abcdef");
+  RequestParser over(limits);
+  EXPECT_EQ(
+      over.feed("POST /v1/plan HTTP/1.1\r\nContent-Length: 17\r\n\r\n"),
+      Status::Error);
+  EXPECT_EQ(over.error_status(), 413);
 }
 
 TEST(HttpParser, RejectsBadVerbsAndTargets) {
