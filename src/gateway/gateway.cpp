@@ -206,7 +206,9 @@ Response Gateway::translate_response(ResponseParser& parser) {
   Response resp;
   resp.status = parser.status_code();
   if (const std::string* ct = parser.header("content-type")) {
-    resp.content_type = *ct;
+    // Response::content_type only views; the upstream value travels owned.
+    resp.content_type = {};
+    resp.extra_headers.emplace_back("Content-Type", *ct);
   }
   if (const std::string* etag = parser.header("etag")) resp.etag = *etag;
   if (const std::string* ra = parser.header("retry-after")) {

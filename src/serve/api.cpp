@@ -419,6 +419,8 @@ Api::Cached Api::make_cached(std::string body, std::string content_type) {
   c.etag = etag_for(body);
   c.body = std::move(body);
   c.content_type = std::move(content_type);
+  append_header_block(c.ok_block, 200, c.content_type, c.body.size(), c.etag);
+  append_header_block(c.not_modified_block, 304, c.content_type, 0, c.etag);
   return c;
 }
 
@@ -500,20 +502,43 @@ Response Api::handle_health() const {
   return r;
 }
 
-Response Api::deliver(const Cached& c, const Request& req) {
-  Response r;
-  r.etag = c.etag;
+bool Api::not_modified(const Cached& c, const Request& req) {
   const std::string* inm = req.header("if-none-match");
-  if (inm != nullptr && etag_matches(*inm, c.etag)) {
-    r.status = 304;
-    return r;
-  }
+  return inm != nullptr && etag_matches(*inm, c.etag);
+}
+
+Response Api::answer(const Request& req) const {
+  Routed routed = route(req);
+  if (routed.cached == nullptr) return std::move(routed.owned);
+  const Cached& c = *routed.cached;
+  Response r;
   r.content_type = c.content_type;
-  r.body = c.body;
+  if (not_modified(c, req)) {
+    r.status = 304;
+    r.header_block = c.not_modified_block;
+  } else {
+    r.header_block = c.ok_block;
+    r.shared_body = c.body;
+  }
   return r;
 }
 
-Response Api::handle_matrix(const Request& req) const {
+Response Api::handle(const Request& req) const {
+  Routed routed = route(req);
+  if (routed.cached == nullptr) return std::move(routed.owned);
+  const Cached& c = *routed.cached;
+  Response r;
+  r.content_type = c.content_type;
+  r.etag = c.etag;
+  if (not_modified(c, req)) {
+    r.status = 304;
+  } else {
+    r.body = c.body;
+  }
+  return r;
+}
+
+Api::Routed Api::handle_matrix(const Request& req) const {
   std::string_view format = req.query_param("format", "json");
   if (format == "text") format = "txt";
   if (format == "markdown") format = "md";
@@ -523,10 +548,10 @@ Response Api::handle_matrix(const Request& req) const {
     return error_response(
         400, "unknown format (want json|txt|md|csv|html|latex|yaml)");
   }
-  return deliver(it->second, req);
+  return it->second;
 }
 
-Response Api::handle_perf(const Request& req) const {
+Api::Routed Api::handle_perf(const Request& req) const {
   if (perf_formats_.empty()) {
     return error_response(
         404, "perf campaign disabled (start the server with --perf)");
@@ -540,10 +565,10 @@ Response Api::handle_perf(const Request& req) const {
     return error_response(
         400, "unknown format (want json|txt|md|csv|html|latex|yaml)");
   }
-  return deliver(it->second, req);
+  return it->second;
 }
 
-Response Api::handle_cell(const Request& req) const {
+Api::Routed Api::handle_cell(const Request& req) const {
   // Path shape: /v1/cell/{vendor}/{model}/{language}
   std::string_view rest = std::string_view(req.path).substr(9);
   if (!rest.empty() && rest.front() == '/') rest.remove_prefix(1);
@@ -570,7 +595,7 @@ Response Api::handle_cell(const Request& req) const {
     return error_response(404,
                           "no such cell (language does not apply to model?)");
   }
-  return deliver(it->second, req);
+  return it->second;
 }
 
 Response Api::handle_plan(const Request& req) const {
@@ -585,11 +610,11 @@ Response Api::handle_plan(const Request& req) const {
   return r;
 }
 
-Response Api::handle(const Request& req) const {
+Api::Routed Api::route(const Request& req) const {
   const bool is_get = req.method == "GET" || req.method == "HEAD";
   const std::string& path = req.path;
   if (path == "/" || path == "/v1") {
-    return is_get ? deliver(index_, req) : method_not_allowed("GET, HEAD");
+    return is_get ? Routed(index_) : method_not_allowed("GET, HEAD");
   }
   if (path == "/healthz") {
     return is_get ? handle_health() : method_not_allowed("GET, HEAD");
@@ -615,7 +640,7 @@ Response Api::handle(const Request& req) const {
                                 : method_not_allowed("POST");
   }
   if (path == "/v1/claims") {
-    return is_get ? deliver(claims_, req) : method_not_allowed("GET, HEAD");
+    return is_get ? Routed(claims_) : method_not_allowed("GET, HEAD");
   }
   return error_response(404, "no such endpoint (GET / lists them)");
 }

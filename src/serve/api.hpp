@@ -1,13 +1,15 @@
 #pragma once
 // The application layer of mcmm serve: routes HTTP requests onto the
 // knowledge base. The dataset is immutable for the life of the process, so
-// every GET response body is rendered once at construction, given a strong
-// ETag, and served from the cache afterwards — request handling on the hot
-// path is a lookup plus an If-None-Match comparison, safe to call from any
-// number of worker threads concurrently. POST /v1/plan is computed per
-// request: its body is read straight into a PlannerQuery, the planner
-// built at construction answers it from per-cell tables, and each planned
-// route's platform object, rendered once at construction, is spliced in.
+// every GET response is rendered once at construction — body, strong ETag,
+// and the header blocks of its 200 and its 304 — and served from the cache
+// afterwards: request handling on the hot path is a lookup plus an
+// If-None-Match comparison, answered by reference (Api::answer), safe to
+// call from any number of worker threads concurrently. POST /v1/plan is
+// computed per request: its body is read straight into a PlannerQuery, the
+// planner built at construction answers it from per-cell tables, and each
+// planned route's platform object, rendered once at construction, is
+// spliced in.
 //
 //   GET  /            endpoint index
 //   GET  /v1/matrix   ?format=json|txt|md|csv|html|latex|yaml (json default)
@@ -60,6 +62,13 @@ class Api {
   /// Full dispatch, including conditional-GET: a request whose
   /// If-None-Match matches the resource's ETag gets a bodyless 304.
   /// HEAD routes like GET (the server layer drops the body on the wire).
+  /// A cached resource is answered by reference: the response's
+  /// header_block and shared_body view this Api's cache and allocate
+  /// nothing. Other routes answer with an owned body.
+  [[nodiscard]] Response answer(const Request& req) const;
+
+  /// answer() with every field owned: a cached resource's body, ETag and
+  /// content type are filled in, for callers that read them.
   [[nodiscard]] Response handle(const Request& req) const;
 
  private:
@@ -67,15 +76,29 @@ class Api {
     std::string body;
     std::string content_type;
     std::string etag;
+    std::string ok_block;            ///< header block of the 200
+    std::string not_modified_block;  ///< header block of the 304
+  };
+
+  /// What routing a request yields: a cached resource, or an owned
+  /// response when `cached` is null. Implicit from either, so a route
+  /// returns whichever it has.
+  struct Routed {
+    Routed(const Cached& c) : cached(&c) {}
+    Routed(Response r) : owned(std::move(r)) {}
+    const Cached* cached{nullptr};
+    Response owned;
   };
 
   [[nodiscard]] static Cached make_cached(std::string body,
                                           std::string content_type);
-  [[nodiscard]] static Response deliver(const Cached& c, const Request& req);
+  /// True when the request's If-None-Match matches the resource's ETag.
+  [[nodiscard]] static bool not_modified(const Cached& c, const Request& req);
 
-  [[nodiscard]] Response handle_matrix(const Request& req) const;
-  [[nodiscard]] Response handle_perf(const Request& req) const;
-  [[nodiscard]] Response handle_cell(const Request& req) const;
+  [[nodiscard]] Routed route(const Request& req) const;
+  [[nodiscard]] Routed handle_matrix(const Request& req) const;
+  [[nodiscard]] Routed handle_perf(const Request& req) const;
+  [[nodiscard]] Routed handle_cell(const Request& req) const;
   [[nodiscard]] Response handle_plan(const Request& req) const;
   /// Rendered per request (not cached, no ETag): the in-flight gauge and
   /// the draining flag are live signals the gateway's balancer consumes.

@@ -4,9 +4,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <functional>
+#include <iterator>
 #include <thread>
 
 #include "serve/json.hpp"
@@ -80,6 +81,11 @@ bool parse_query(std::string_view raw,
     out.emplace_back(std::move(*dk), std::move(*dv));
   }
   return true;
+}
+
+void append_number(std::string& out, std::size_t value) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, std::end(digits), value).ptr);
 }
 
 }  // namespace
@@ -253,6 +259,11 @@ RequestParser::Status RequestParser::parse_header_line(std::string_view line) {
     // Covers whitespace before the colon too (request smuggling vector).
     return fail(400, "malformed header name");
   }
+  if (request_.headers.empty()) {
+    // Once per request: a typical client's few headers then never regrow.
+    request_.headers.reserve(
+        std::min<std::size_t>(8, limits_.max_header_count));
+  }
   request_.headers.emplace_back(lowered(name),
                                 std::string(trim_ows(line.substr(colon + 1))));
   return status_;
@@ -331,33 +342,42 @@ std::string_view status_reason(int code) noexcept {
   }
 }
 
-std::string serialize_response(const Response& r, bool head,
-                               bool keep_alive) {
-  std::string out;
-  out.reserve(r.body.size() + 256);
+void append_header_block(std::string& out, int status,
+                         std::string_view content_type,
+                         std::size_t content_length, std::string_view etag) {
   out += "HTTP/1.1 ";
-  out += std::to_string(r.status);
+  append_number(out, static_cast<std::size_t>(status));
   out += ' ';
-  out += status_reason(r.status);
+  out += status_reason(status);
   out += "\r\nServer: mcmm-serve/1\r\n";
-  if (r.status == 304) {
+  if (status == 304) {
     // A 304 carries validator headers but never a body (RFC 9110 §15.4.5).
-    if (!r.etag.empty()) {
+    if (!etag.empty()) {
       out += "ETag: ";
-      out += r.etag;
+      out += etag;
       out += "\r\n";
     }
-  } else {
+    return;
+  }
+  if (!content_type.empty()) {
     out += "Content-Type: ";
-    out += r.content_type;
-    out += "\r\nContent-Length: ";
-    out += std::to_string(r.body.size());
+    out += content_type;
     out += "\r\n";
-    if (!r.etag.empty()) {
-      out += "ETag: ";
-      out += r.etag;
-      out += "\r\nCache-Control: max-age=0, must-revalidate\r\n";
-    }
+  }
+  out += "Content-Length: ";
+  append_number(out, content_length);
+  out += "\r\n";
+  if (!etag.empty()) {
+    out += "ETag: ";
+    out += etag;
+    out += "\r\nCache-Control: max-age=0, must-revalidate\r\n";
+  }
+}
+
+void append_headers(std::string& out, const Response& r, bool keep_alive,
+                    std::string_view request_id) {
+  if (r.header_block.empty()) {
+    append_header_block(out, r.status, r.content_type, r.body.size(), r.etag);
   }
   for (const auto& [name, value] : r.extra_headers) {
     out += name;
@@ -365,9 +385,24 @@ std::string serialize_response(const Response& r, bool head,
     out += value;
     out += "\r\n";
   }
-  out += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
-  out += "\r\n";
-  if (!head && r.status != 304) out += r.body;
+  if (!request_id.empty()) {
+    out += "X-Request-Id: ";
+    out += request_id;
+    out += "\r\n";
+  }
+  out += keep_alive ? "Connection: keep-alive\r\n\r\n"
+                    : "Connection: close\r\n\r\n";
+}
+
+std::string serialize_response(const Response& r, bool head, bool keep_alive,
+                               std::string_view request_id) {
+  const std::string_view body =
+      r.header_block.empty() ? std::string_view(r.body) : r.shared_body;
+  std::string out;
+  out.reserve(r.header_block.size() + body.size() + 256);
+  out += r.header_block;
+  append_headers(out, r, keep_alive, request_id);
+  if (!head && r.status != 304) out += body;
   return out;
 }
 
@@ -385,7 +420,7 @@ Response error_response(int status, std::string_view detail) {
   return r;
 }
 
-std::string generate_request_id() {
+void mint_request_id(char (&out)[kRequestIdLength]) noexcept {
   // Thread-local xorshift64* seeded once per thread from the clock and the
   // thread identity; ids only need process-level uniqueness, not secrecy.
   thread_local std::uint64_t state = [] {
@@ -398,11 +433,11 @@ std::string generate_request_id() {
   state ^= state >> 12;
   state ^= state << 25;
   state ^= state >> 27;
-  const std::uint64_t value = state * 2685821657736338717ULL;
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(hex, 16);
+  std::uint64_t value = state * 2685821657736338717ULL;
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (std::size_t i = kRequestIdLength; i-- > 0; value >>= 4) {
+    out[i] = kHex[value & 0xf];
+  }
 }
 
 bool valid_request_id(std::string_view id) noexcept {

@@ -99,29 +99,59 @@ class RequestParser {
 /// Percent-decodes one URI component; nullopt on a malformed escape.
 [[nodiscard]] std::optional<std::string> percent_decode(std::string_view in);
 
-/// One response about to be serialized.
+/// One response about to be serialized. A handler answers with an owned
+/// `body`, or by reference: `header_block` and `shared_body` then view a
+/// response rendered once into a cache that outlives this Response
+/// (Api::answer), and `content_type`, `body` and `etag` go unused.
 struct Response {
   int status{200};
-  std::string content_type{"application/json"};
+  /// Viewed, not owned, so that building a Response allocates nothing for
+  /// it: a literal or a cache that outlives the response. Empty sends no
+  /// Content-Type header (a proxy passes an upstream one in extra_headers).
+  std::string_view content_type{"application/json"};
   std::string body;
   std::string etag;  ///< sent as a strong ETag header when non-empty
   std::vector<std::pair<std::string, std::string>> extra_headers;
+  /// Pre-rendered status line through Cache-Control (append_header_block);
+  /// non-empty marks a by-reference response.
+  std::string_view header_block;
+  std::string_view shared_body;  ///< a by-reference response's body
 };
 
 /// Canonical reason phrase ("OK", "Not Modified", ...).
 [[nodiscard]] std::string_view status_reason(int code) noexcept;
 
-/// Full wire form: status line, headers, CRLF, body. `head` keeps the
-/// headers (including Content-Length) but drops the body, per RFC 9110.
+/// Appends the part of a header section that depends on the response alone:
+/// the status line through Cache-Control. A 304 carries only its validator;
+/// otherwise Content-Type (when non-empty) and Content-Length come first,
+/// then ETag and Cache-Control when `etag` is non-empty.
+void append_header_block(std::string& out, int status,
+                         std::string_view content_type,
+                         std::size_t content_length, std::string_view etag);
+
+/// The header writer: appends `r`'s header section to `out`. That is its
+/// block, unless `r` carries a pre-rendered one (which then goes on the wire
+/// ahead of `out`), followed by the extra headers, X-Request-Id when
+/// `request_id` is non-empty, Connection and the blank line.
+void append_headers(std::string& out, const Response& r, bool keep_alive,
+                    std::string_view request_id);
+
+/// Full wire form: header section, then the body. `head` keeps the headers
+/// (including Content-Length) but drops the body, per RFC 9110.
 [[nodiscard]] std::string serialize_response(const Response& r, bool head,
-                                             bool keep_alive);
+                                             bool keep_alive,
+                                             std::string_view request_id = {});
 
 /// Tiny JSON error document: {"error":status,"reason":...,"detail":...}.
 [[nodiscard]] Response error_response(int status, std::string_view detail);
 
-/// A fresh correlation id: 16 lowercase hex chars, unique per process and
-/// cheap enough for the per-request path (thread-local xorshift, no lock).
-[[nodiscard]] std::string generate_request_id();
+/// Length of a minted correlation id.
+inline constexpr std::size_t kRequestIdLength = 16;
+
+/// Writes a fresh correlation id into `out`: lowercase hex, unique per
+/// process and cheap enough for the per-request path (thread-local
+/// xorshift, no lock, no allocation).
+void mint_request_id(char (&out)[kRequestIdLength]) noexcept;
 
 /// True when a client-supplied X-Request-Id is safe to echo verbatim:
 /// 1..128 visible ASCII characters (no separators a header could smuggle).

@@ -7,6 +7,7 @@
 #include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -128,8 +129,15 @@ struct HttpListener::Connection final : EpollHandler {
   std::atomic<std::int64_t> last_activity{0};
   bool write_phase{false};  // dispatch payload, synchronised by the ring
   RequestParser parser;
+  // The response in flight, sent as one gather write of up to three
+  // segments: a pre-rendered header block, `outbuf` (the header section, or
+  // its per-request tail after a block; reused across requests) and the
+  // body, a view of the Api cache or of `out_owned`.
+  std::string_view out_block;
   std::string outbuf;
-  std::size_t outoff{0};
+  std::string out_owned;
+  std::string_view out_body;
+  std::size_t outoff{0};  // bytes of the three segments already sent
   bool keep_after_write{true};
   bool request_open{false};  // on_request_end() owed at write completion
   bool pending_head{false};
@@ -383,9 +391,26 @@ void HttpListener::dispatch(Connection* c, bool write_phase) noexcept {
 }
 
 HttpListener::WriteResult HttpListener::flush_out(Connection* c) noexcept {
-  while (c->outoff < c->outbuf.size()) {
-    const ssize_t n = ::send(c->fd, c->outbuf.data() + c->outoff,
-                             c->outbuf.size() - c->outoff, MSG_NOSIGNAL);
+  for (;;) {
+    iovec iov[3];
+    std::size_t count = 0;
+    std::size_t skip = c->outoff;  // a partial write resumes mid-segment
+    for (const std::string_view seg :
+         {c->out_block, std::string_view(c->outbuf), c->out_body}) {
+      if (skip >= seg.size()) {
+        skip -= seg.size();
+        continue;
+      }
+      iov[count].iov_base = const_cast<char*>(seg.data() + skip);
+      iov[count].iov_len = seg.size() - skip;
+      ++count;
+      skip = 0;
+    }
+    if (count == 0) return WriteResult::Done;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(c->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       c->outoff += static_cast<std::size_t>(n);
       continue;
@@ -394,7 +419,6 @@ HttpListener::WriteResult HttpListener::flush_out(Connection* c) noexcept {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return WriteResult::Pending;
     return WriteResult::Closed;
   }
-  return WriteResult::Done;
 }
 
 void HttpListener::rearm_read(Connection* c) noexcept {
@@ -518,7 +542,10 @@ void HttpListener::process(Connection* c) {
 }
 
 bool HttpListener::after_write_done(Connection* c) {
-  c->outbuf.clear();
+  c->out_block = {};
+  c->outbuf.clear();  // keeps its capacity for the next header section
+  std::string().swap(c->out_owned);  // an idle connection holds no body
+  c->out_body = {};
   c->outoff = 0;
   if (c->request_open) {
     c->request_open = false;
@@ -534,6 +561,7 @@ bool HttpListener::after_write_done(Connection* c) {
 
 void HttpListener::process_input(Connection* c) {
   std::size_t budget = kReadBudget;
+  bool drained = false;  // a short read took all the socket held
   char buf[16384];
   for (;;) {
     while (c->parser.status() == RequestParser::Status::NeedMore) {
@@ -541,52 +569,79 @@ void HttpListener::process_input(Connection* c) {
         rearm_read(c);  // firehose fairness; readiness re-checked at re-arm
         return;
       }
-      const ssize_t n =
-          ::recv(c->fd, buf, std::min(sizeof buf, budget), 0);
-      if (n > 0) {
-        c->parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-        budget -= static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n == 0) {  // peer closed
-        post_close(c);
-        return;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!c->parser.mid_request() && draining()) {
-          post_close(c);  // idle keep-alive at a request boundary: drain now
-        } else {
-          rearm_read(c);
+      if (!drained) {
+        const std::size_t want = std::min(sizeof buf, budget);
+        const ssize_t n = ::recv(c->fd, buf, want, 0);
+        if (n > 0) {
+          c->parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+          budget -= static_cast<std::size_t>(n);
+          drained = static_cast<std::size_t>(n) < want;
+          continue;
         }
-        return;
+        if (n == 0) {  // peer closed
+          post_close(c);
+          return;
+        }
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+          post_close(c);
+          return;
+        }
       }
-      post_close(c);
+      // Drained, by a short read or EAGAIN. No recv just to see EAGAIN: the
+      // EPOLLONESHOT re-arm re-polls readiness, so bytes that arrived since
+      // still raise an event.
+      if (!c->parser.mid_request() && draining()) {
+        post_close(c);  // idle keep-alive at a request boundary: drain now
+      } else {
+        rearm_read(c);
+      }
       return;
     }
     if (c->parser.status() == RequestParser::Status::Error) {
-      const Response r =
+      Response r =
           error_response(c->parser.error_status(), c->parser.error_reason());
       on_request_done(r.status, 0);
-      start_error_response(c, r);
+      start_error_response(c, std::move(r));
       return;
     }
     const Request req = c->parser.take_request();
     // Correlation id: echo a well-formed client-supplied one, mint one
     // otherwise, so gateway and replica logs/metrics line up per request.
+    // Assigned into the connection's string, reusing its capacity.
     const std::string* supplied = req.header("x-request-id");
-    const std::string request_id =
-        supplied != nullptr && valid_request_id(*supplied)
-            ? *supplied
-            : generate_request_id();
-    if (!finish_request(c, req, request_id)) return;
+    if (supplied != nullptr && valid_request_id(*supplied)) {
+      c->pending_request_id.assign(*supplied);
+    } else {
+      char id[kRequestIdLength];
+      mint_request_id(id);
+      c->pending_request_id.assign(id, sizeof id);
+    }
+    if (!finish_request(c, req)) return;
   }
 }
 
-void HttpListener::start_error_response(Connection* c, const Response& resp) {
-  c->keep_after_write = false;
-  c->outbuf = serialize_response(resp, false, false);
+void HttpListener::stage_response(Connection* c, Response&& resp, bool head,
+                                  bool keep_alive) {
+  c->out_block = resp.header_block;
+  c->outbuf.clear();
+  append_headers(c->outbuf, resp, keep_alive, c->pending_request_id);
+  c->out_body = {};
+  if (!head && resp.status != 304) {
+    if (resp.header_block.empty()) {
+      c->out_owned = std::move(resp.body);
+      c->out_body = c->out_owned;
+    } else {
+      c->out_body = resp.shared_body;
+    }
+  }
   c->outoff = 0;
+}
+
+void HttpListener::start_error_response(Connection* c, Response&& resp) {
+  c->keep_after_write = false;
+  c->pending_request_id.clear();  // a request that did not parse has no id
+  stage_response(c, std::move(resp), false, false);
   switch (flush_out(c)) {
     case WriteResult::Pending:
       rearm_write(c);
@@ -597,39 +652,36 @@ void HttpListener::start_error_response(Connection* c, const Response& resp) {
   }
 }
 
-bool HttpListener::finish_request(Connection* c, const Request& req,
-                                  const std::string& request_id) {
+bool HttpListener::finish_request(Connection* c, const Request& req) {
   c->t0 = std::chrono::steady_clock::now();
   on_request_begin();
   c->request_open = true;
   c->pending_head = req.method == "HEAD";
   c->pending_keep = req.keep_alive();
-  c->pending_request_id = request_id;
   // Park *before* offering the request to the async seam: a fast async
   // completion may race back through the loop before this thread resumes.
   c->state.store(kStAsync, std::memory_order_release);
-  if (dispatch_async(req, request_id, ResponseToken{c, c->epoch})) {
+  if (dispatch_async(req, c->pending_request_id,
+                     ResponseToken{c, c->epoch})) {
     return false;
   }
   c->state.store(kStBusy, std::memory_order_relaxed);
   Response resp;
   try {
-    resp = handle_request(req, request_id);
+    resp = handle_request(req, c->pending_request_id);
   } catch (const std::exception& e) {
     resp = error_response(500, e.what());
   }
-  return start_response(c, resp);
+  return start_response(c, std::move(resp));
 }
 
-bool HttpListener::start_response(Connection* c, Response resp) {
-  resp.extra_headers.emplace_back("X-Request-Id", c->pending_request_id);
+bool HttpListener::start_response(Connection* c, Response&& resp) {
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - c->t0)
                           .count();
   on_request_done(resp.status, static_cast<std::uint64_t>(micros));
   c->keep_after_write = c->pending_keep && !draining();
-  c->outbuf = serialize_response(resp, c->pending_head, c->keep_after_write);
-  c->outoff = 0;
+  stage_response(c, std::move(resp), c->pending_head, c->keep_after_write);
   switch (flush_out(c)) {
     case WriteResult::Pending:
       rearm_write(c);
@@ -717,7 +769,7 @@ Response Server::handle_request(const Request& req,
     resp.extra_headers.emplace_back("Retry-After", "1");
     return resp;
   }
-  return api_.handle(req);
+  return api_.answer(req);
 }
 
 }  // namespace mcmm::serve

@@ -154,10 +154,11 @@ class HttpListener {
  protected:
   /// One parsed request -> one response. `request_id` is the correlation
   /// id the listener will stamp on the wire (echo it upstream if the
-  /// response is assembled from another hop). Handlers should return
-  /// promptly: a handler that blocks parks one parse/compute worker (or
-  /// the loop thread itself, which also dispatches) — slow work belongs
-  /// behind dispatch_async().
+  /// response is assembled from another hop). A by-reference response
+  /// (Response::header_block) must view storage that outlives join().
+  /// Handlers should return promptly: a handler that blocks parks one
+  /// parse/compute worker (or the loop thread itself, which also
+  /// dispatches) — slow work belongs behind dispatch_async().
   virtual Response handle_request(const Request& req,
                                   const std::string& request_id) = 0;
 
@@ -165,7 +166,8 @@ class HttpListener {
   /// request: the listener parks the connection and the handler MUST
   /// eventually call complete_async(token, response) — from any thread —
   /// to answer it. Return false (the default) to fall back to the
-  /// synchronous handle_request() path.
+  /// synchronous handle_request() path. `req` and `request_id` are valid
+  /// only during the call: copy what the answer needs.
   virtual bool dispatch_async(const Request& /*req*/,
                               const std::string& /*request_id*/,
                               ResponseToken /*token*/) {
@@ -216,15 +218,20 @@ class HttpListener {
   void dispatch(Connection* c, bool write_phase) noexcept;
   /// Parse/compute entry, runs on a worker or the loop thread.
   void process(Connection* c);
+  /// Reads and answers requests until the socket is drained (a short read
+  /// or EAGAIN), the read budget is spent, or the connection is parked.
   void process_input(Connection* c);
   /// True to continue parsing buffered pipelined input; false when the
   /// connection was parked (re-armed, write-pending, async) or closed.
-  bool finish_request(Connection* c, const Request& req,
-                      const std::string& request_id);
-  /// Serialises + writes a response; same return contract as
+  bool finish_request(Connection* c, const Request& req);
+  /// Stages the header section in the connection's reused buffer and the
+  /// body as a view (or the moved-in owned body) for one gather write.
+  static void stage_response(Connection* c, Response&& resp, bool head,
+                             bool keep_alive);
+  /// Stages + writes a response; same return contract as
   /// after_write_done().
-  bool start_response(Connection* c, Response resp);
-  void start_error_response(Connection* c, const Response& resp);
+  bool start_response(Connection* c, Response&& resp);
+  void start_error_response(Connection* c, Response&& resp);
   /// True when the connection survives (keep-alive) and parsing may
   /// continue; false when parked or closed.
   bool after_write_done(Connection* c);

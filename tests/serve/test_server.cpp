@@ -1,7 +1,9 @@
 // Loopback integration tests for the serve network layer: concurrent
 // keep-alive clients against a real listening socket, wire-level
-// conditional GETs, slow-client deadlines (408), pipelining, and graceful
-// shutdown draining the worker pool.
+// conditional GETs, slow-client deadlines (408), pipelining, graceful
+// shutdown draining the worker pool, and transport parity — the bytes on
+// the wire equal serialize_response() over Api::handle(), through the
+// gather write, partial writes and the read budget.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,8 +18,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +31,8 @@
 namespace {
 
 using mcmm::data::paper_matrix;
+using mcmm::serve::Api;
+using mcmm::serve::RequestParser;
 using mcmm::serve::Server;
 using mcmm::serve::ServerConfig;
 
@@ -85,8 +91,9 @@ class TestClient {
     }
   };
 
-  /// Reads exactly one response off the connection (keep-alive safe).
-  Reply read_reply() {
+  /// Reads exactly one response off the connection (keep-alive safe). A
+  /// reply to HEAD has a Content-Length but no body.
+  Reply read_reply(bool head = false) {
     Reply reply;
     std::size_t header_end;
     while ((header_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
@@ -98,7 +105,9 @@ class TestClient {
     reply.status = std::atoi(reply.headers.c_str() + 9);
     std::size_t content_length = 0;
     const std::string cl = reply.header("Content-Length");
-    if (!cl.empty()) content_length = std::strtoul(cl.c_str(), nullptr, 10);
+    if (!cl.empty() && !head) {
+      content_length = std::strtoul(cl.c_str(), nullptr, 10);
+    }
     while (buffer_.size() < content_length) {
       if (!fill()) return reply;
     }
@@ -530,6 +539,239 @@ TEST(ServerShutdown, DrainsCleanlyUnderLoad) {
   // A new connection after shutdown must be refused.
   TestClient late(server.port());
   EXPECT_TRUE(!late.connected() || late.get("/healthz").status != 200);
+}
+
+// --- Transport parity --------------------------------------------------
+
+/// Small two-kernel campaign, so /v1/perf joins the cached resources.
+mcmm::perfport::CampaignConfig small_campaign() {
+  mcmm::perfport::CampaignConfig cfg;
+  cfg.sizes = {4096};
+  cfg.reps = 1;
+  cfg.kernels = {mcmm::perfport::PerfKernel::Triad,
+                 mcmm::perfport::PerfKernel::Dot};
+  return cfg;
+}
+
+/// The reference the wire must match: an Api over the same data as the
+/// server's, answering through the owning Api::handle().
+const Api& reference_api() {
+  static const mcmm::perfport::PerfReport report =
+      mcmm::perfport::run_campaign(small_campaign());
+  static const Api instance(paper_matrix(), nullptr, nullptr, &report);
+  return instance;
+}
+
+mcmm::serve::Request parse(const std::string& wire) {
+  RequestParser parser;
+  EXPECT_EQ(parser.feed(wire), RequestParser::Status::Complete) << wire;
+  return parser.take_request();
+}
+
+/// What serialize_response() says the server must send for `wire`.
+std::string expected_bytes(const std::string& wire, const std::string& id) {
+  const mcmm::serve::Request req = parse(wire);
+  return mcmm::serve::serialize_response(reference_api().handle(req),
+                            req.method == "HEAD", req.keep_alive(), id);
+}
+
+std::string percent_encoded(std::string_view s) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  std::string out;
+  for (const char c : s) {
+    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
+      out += c;
+    } else {
+      out += '%';
+      out += kHex[static_cast<unsigned char>(c) >> 4];
+      out += kHex[static_cast<unsigned char>(c) & 0xf];
+    }
+  }
+  return out;
+}
+
+/// Every resource the Api caches: each matrix and perf format, every cell,
+/// the claims and the index.
+std::vector<std::string> cached_targets() {
+  std::vector<std::string> targets = {"/", "/v1/claims"};
+  for (const char* format :
+       {"json", "txt", "md", "csv", "html", "latex", "yaml"}) {
+    targets.push_back(std::string("/v1/matrix?format=") + format);
+    targets.push_back(std::string("/v1/perf?format=") + format);
+  }
+  for (const mcmm::SupportEntry* e : paper_matrix().entries()) {
+    std::string target = "/v1/cell/";
+    target += percent_encoded(mcmm::to_string(e->combo.vendor));
+    target += '/';
+    target += percent_encoded(mcmm::to_string(e->combo.model));
+    target += '/';
+    target += percent_encoded(mcmm::to_string(e->combo.language));
+    targets.push_back(std::move(target));
+  }
+  return targets;
+}
+
+class TransportTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ServerConfig config;
+    config.port = 0;
+    config.threads = 2;
+    config.enable_perf = true;
+    config.perf_config = small_campaign();
+    server_ = new Server(paper_matrix(), config);
+    server_->start();
+  }
+  static void TearDownTestSuite() {
+    server_->shutdown();
+    server_->join();
+    delete server_;
+    server_ = nullptr;
+  }
+
+  static Server* server_;
+};
+
+Server* TransportTest::server_ = nullptr;
+
+TEST_F(TransportTest, WireBytesMatchSerializeResponseForEveryCachedResource) {
+  int compared = 0;
+  for (const bool keep_alive : {true, false}) {
+    for (const bool client_id : {false, true}) {
+      std::unique_ptr<TestClient> client;
+      for (const std::string& target : cached_targets()) {
+        const std::string get = "GET " + target + " HTTP/1.1\r\n\r\n";
+        const std::string etag = reference_api().handle(parse(get)).etag;
+        ASSERT_FALSE(etag.empty()) << target;
+        for (const char* variant : {"GET", "HEAD", "304"}) {
+          const bool head = std::string_view(variant) == "HEAD";
+          std::string wire = std::string(head ? "HEAD " : "GET ") + target +
+                             " HTTP/1.1\r\nHost: t\r\n";
+          if (std::string_view(variant) == "304") {
+            wire += "If-None-Match: " + etag + "\r\n";
+          }
+          const std::string id = "parity-" + std::to_string(compared);
+          if (client_id) wire += "X-Request-Id: " + id + "\r\n";
+          if (!keep_alive) wire += "Connection: close\r\n";
+          wire += "\r\n";
+          if (client == nullptr) {
+            client = std::make_unique<TestClient>(server_->port());
+            ASSERT_TRUE(client->connected());
+          }
+          ASSERT_TRUE(client->send_raw(wire));
+          const TestClient::Reply reply = client->read_reply(head);
+          const std::string sent_id = reply.header("X-Request-Id");
+          if (client_id) {
+            EXPECT_EQ(sent_id, id);
+          } else {
+            EXPECT_EQ(sent_id.size(), mcmm::serve::kRequestIdLength);
+          }
+          EXPECT_EQ(reply.headers + reply.body, expected_bytes(wire, sent_id))
+              << variant << " " << target;
+          if (!keep_alive) {
+            EXPECT_TRUE(client->at_eof()) << target;
+            client.reset();
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 4 * 3 * static_cast<int>(cached_targets().size()));
+}
+
+TEST_F(TransportTest, RequestSplitAcrossTwoSendsIsAnswered) {
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  const std::string wire =
+      "GET /v1/claims HTTP/1.1\r\nHost: t\r\nX-Request-Id: split\r\n\r\n";
+  const std::size_t half = wire.size() / 2;
+  // The first half is read short and leaves the parser mid-request; the
+  // second must raise a new event on the re-armed socket.
+  ASSERT_TRUE(client.send_raw(wire.substr(0, half)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(client.send_raw(wire.substr(half)));
+  const TestClient::Reply reply = client.read_reply();
+  EXPECT_EQ(reply.headers + reply.body, expected_bytes(wire, "split"));
+}
+
+TEST_F(TransportTest, PipelinedBehindAWriteArmedResponseStayInOrder) {
+  // 46 KB YAML bodies into a 4 KiB receive window: once the server's send
+  // buffer fills (autotuned up to tcp_wmem's 4 MiB default maximum), a
+  // gather write stops mid-segment and resumes on EPOLLOUT. The smaller
+  // GETs pipelined between them must come back whole and in order.
+  const std::uint64_t rearms_before =
+      server_->loop_counters().epollout_rearms_total.load();
+  TestClient client(server_->port(), /*rcvbuf_bytes=*/4096);
+  ASSERT_TRUE(client.connected());
+  const char* small[] = {"/v1/cell/AMD/HIP/C%2B%2B", "/v1/claims", "/",
+                         "/v1/matrix?format=csv"};
+  std::string pipeline;
+  std::string expected;
+  for (int i = 0; i < 256; ++i) {  // 5.9 MB of responses
+    const std::string id = "pipe-" + std::to_string(i);
+    const std::string target =
+        i % 2 == 0 ? "/v1/matrix?format=yaml" : small[(i / 2) % 4];
+    const std::string wire = "GET " + target +
+                             " HTTP/1.1\r\nHost: t\r\nX-Request-Id: " + id +
+                             "\r\n\r\n";
+    pipeline += wire;
+    expected += expected_bytes(wire, id);
+  }
+  ASSERT_TRUE(client.send_raw(pipeline));
+  std::string got;
+  char chunk[4096];
+  while (got.size() < expected.size()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));  // slow
+    const ssize_t n = ::recv(client.fd(), chunk, sizeof chunk, 0);
+    ASSERT_GT(n, 0) << "after " << got.size() << " of " << expected.size();
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected);
+  EXPECT_GT(server_->loop_counters().epollout_rearms_total.load(),
+            rearms_before);
+}
+
+TEST_F(TransportTest, BurstBeyondTheReadBudgetIsAllAnswered) {
+  // 320 GETs padded to ~1 KiB each: more than the 256 KiB a connection may
+  // read per dispatch. After the budget yields, the re-arm must find the
+  // rest with no further client bytes.
+  constexpr int kRequests = 320;
+  const std::string pad(900, 'x');
+  std::string burst;
+  std::string expected;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string id = "burst-" + std::to_string(i);
+    const std::string wire =
+        "GET /v1/cell/NVIDIA/CUDA/C%2B%2B HTTP/1.1\r\nHost: t\r\nX-Pad: " +
+        pad + "\r\nX-Request-Id: " + id + "\r\n\r\n";
+    burst += wire;
+    expected += expected_bytes(wire, id);
+  }
+  ASSERT_GT(burst.size(), 256u * 1024u);
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  // Send on another thread: the replies fill the socket buffers while the
+  // burst is still going out, so this thread must read at the same time.
+  bool sent = false;
+  std::thread sender([&] { sent = client.send_raw(burst); });
+  std::string got;
+  char chunk[65536];
+  while (got.size() < expected.size()) {
+    pollfd pfd{};
+    pfd.fd = client.fd();
+    pfd.events = POLLIN;
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1)
+        << "stalled after " << got.size() << " of " << expected.size();
+    const ssize_t n = ::recv(client.fd(), chunk, sizeof chunk, 0);
+    if (n <= 0) break;
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+  sender.join();
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected);
 }
 
 }  // namespace
