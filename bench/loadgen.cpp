@@ -65,7 +65,6 @@
 #include "data/dataset.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/supervisor.hpp"
-#include "pstlx/host.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -327,10 +326,7 @@ class LoadEngine {
     ::close(epoll_fd_);
     epoll_fd_ = -1;
 
-    // Parallel percentile sort (pstlx host path over the worker pool);
-    // small runs take its serial cutoff, big sweeps fan out.
-    mcmm::pstlx::sort(mcmm::pstlx::host_policy{}, latencies_.begin(),
-                      latencies_.end());
+    std::sort(latencies_.begin(), latencies_.end());
     out.p50 = percentile(0.50);
     out.p90 = percentile(0.90);
     out.p99 = percentile(0.99);

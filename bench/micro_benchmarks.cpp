@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "gpusim/graph.hpp"
@@ -39,7 +38,6 @@
 #include "engine_baseline.hpp"
 #include "gpuprof/gpuprof.hpp"
 #include "gpusim/device.hpp"
-#include "pstlx/host.hpp"
 #include "render/render.hpp"
 #include "translate/translate.hpp"
 #include "yamlx/matrix_yaml.hpp"
@@ -181,18 +179,6 @@ struct EngineReport {
   double profiler_off_ns{0};
   double profiler_on_ns{0};
   double profiler_after_disable_ns{0};
-  // pstlx dogfood A/B #1: loadgen's percentile sort — std::sort vs the
-  // pstlx host-parallel merge sort on the same latency-like u32 data.
-  std::uint64_t psort_n{0};
-  double psort_ms_std{0};
-  double psort_ms_pstlx{0};
-  bool psort_identical{false};
-  // pstlx dogfood A/B #2: gpusan's shadow-log conflict scan — the old
-  // unordered_map hash-grouping vs the pstlx stable_sort + group walk.
-  std::uint64_t cscan_records{0};
-  double cscan_ms_hashmap{0};
-  double cscan_ms_pstlx{0};
-  bool cscan_identical{false};
   // Graph replay A/B: per-node host overhead of replaying a pre-compiled
   // kernel chain vs eager launches of the same chain, plus the BabelStream
   // capture/replay identity check (results and simulated clock must match
@@ -378,122 +364,6 @@ void run_profiler_harness(EngineReport& rep) {
   }
 
   return rep;
-}
-
-// ---------------------------------------------------------------------------
-// pstlx dogfood A/B: the two production call sites that moved onto pstlx,
-// each re-run against the code path it replaced (EXPERIMENTS.md).
-// ---------------------------------------------------------------------------
-
-/// Shape of a gpusan shadow-log entry, reproduced locally so the scan
-/// A/B runs on synthetic data without touching sanitizer state.
-struct MiniRecord {
-  std::uintptr_t cell;
-  std::uint64_t item;
-  bool write;
-};
-
-/// Conflicted cells via the pre-pstlx approach: hash-group by cell.
-[[nodiscard]] std::uint64_t conflicts_hashmap(
-    const std::vector<MiniRecord>& records) {
-  std::unordered_map<std::uintptr_t, std::vector<std::uint32_t>> by_cell;
-  by_cell.reserve(records.size());
-  for (std::uint32_t i = 0; i < records.size(); ++i) {
-    by_cell[records[i].cell].push_back(i);
-  }
-  std::uint64_t conflicts = 0;
-  for (const auto& [cell, idx] : by_cell) {
-    bool conflict = false;
-    for (std::size_t x = 0; x < idx.size() && !conflict; ++x) {
-      for (std::size_t y = x + 1; y < idx.size() && !conflict; ++y) {
-        const MiniRecord& a = records[idx[x]];
-        const MiniRecord& b = records[idx[y]];
-        conflict = a.item != b.item && (a.write || b.write);
-      }
-    }
-    conflicts += conflict ? 1 : 0;
-  }
-  return conflicts;
-}
-
-/// Conflicted cells via the gpusan production path since the pstlx
-/// rewrite: stable-sort a copy by cell, walk equal-cell groups.
-[[nodiscard]] std::uint64_t conflicts_pstlx(std::vector<MiniRecord> records) {
-  pstlx::stable_sort(
-      pstlx::host_policy{}, records.begin(), records.end(),
-      [](const MiniRecord& a, const MiniRecord& b) { return a.cell < b.cell; });
-  std::uint64_t conflicts = 0;
-  for (std::size_t lo = 0, hi = 0; lo < records.size(); lo = hi) {
-    const std::uintptr_t cell = records[lo].cell;
-    hi = lo + 1;
-    while (hi < records.size() && records[hi].cell == cell) ++hi;
-    bool conflict = false;
-    for (std::size_t x = lo; x < hi && !conflict; ++x) {
-      for (std::size_t y = x + 1; y < hi && !conflict; ++y) {
-        conflict = records[x].item != records[y].item &&
-                   (records[x].write || records[y].write);
-      }
-    }
-    conflicts += conflict ? 1 : 0;
-  }
-  return conflicts;
-}
-
-void run_pstlx_harness(EngineReport& rep) {
-  constexpr int kTimingReps = 5;
-  const auto best_of = [&](auto&& body) {
-    double best = std::numeric_limits<double>::max();
-    for (int r = 0; r < kTimingReps; ++r) {
-      const auto t0 = Clock::now();
-      body();
-      best = std::min(best, seconds_since(t0) * 1e3);
-    }
-    return best;
-  };
-
-  // --- A/B #1: loadgen percentile sort (u32 latencies, ~1M samples). ---
-  {
-    constexpr std::uint64_t n = std::uint64_t{1} << 20;
-    rep.psort_n = n;
-    std::vector<std::uint32_t> latencies(n);
-    std::uint64_t state = 0x10ad6e00b5eedull;
-    for (auto& x : latencies) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      x = static_cast<std::uint32_t>(state >> 40);  // long-tailed-ish u24
-    }
-    std::vector<std::uint32_t> via_std, via_pstlx;
-    rep.psort_ms_std = best_of([&] {
-      via_std = latencies;
-      std::sort(via_std.begin(), via_std.end());
-    });
-    rep.psort_ms_pstlx = best_of([&] {
-      via_pstlx = latencies;
-      pstlx::sort(pstlx::host_policy{}, via_pstlx.begin(), via_pstlx.end());
-    });
-    rep.psort_identical = via_std == via_pstlx;
-  }
-
-  // --- A/B #2: gpusan conflict scan (synthetic shadow log: many cells,
-  // a few contended ones with real write conflicts). ---
-  {
-    constexpr std::uint64_t kRecords = 1 << 19;
-    rep.cscan_records = kRecords;
-    std::vector<MiniRecord> records(kRecords);
-    std::uint64_t state = 0x5ca45cafull;
-    for (std::uint64_t i = 0; i < kRecords; ++i) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      const std::uint64_t r = state >> 33;
-      records[i].cell = 0x1000 + (r % (kRecords / 8)) * 8;
-      records[i].item = (r >> 20) % 64;
-      records[i].write = (r & 1) != 0;
-    }
-    std::uint64_t via_hash = 0, via_pstlx = 0;
-    rep.cscan_ms_hashmap =
-        best_of([&] { via_hash = conflicts_hashmap(records); });
-    rep.cscan_ms_pstlx =
-        best_of([&] { via_pstlx = conflicts_pstlx(records); });
-    rep.cscan_identical = via_hash == via_pstlx && via_hash > 0;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -750,28 +620,6 @@ void run_multi_device_harness(EngineReport& rep) {
       << "    \"tracing_ns\": " << r.profiler_on_ns << ",\n"
       << "    \"after_disable_ns\": " << r.profiler_after_disable_ns << "\n"
       << "  },\n"
-      << "  \"pstlx_percentile_sort\": {\n"
-      << "    \"kernel\": \"loadgen u32 latency sort\",\n"
-      << "    \"n\": " << r.psort_n << ",\n"
-      << "    \"std_sort_ms\": " << r.psort_ms_std << ",\n"
-      << "    \"pstlx_host_sort_ms\": " << r.psort_ms_pstlx << ",\n"
-      << "    \"speedup\": "
-      << (r.psort_ms_pstlx > 0 ? r.psort_ms_std / r.psort_ms_pstlx : 0.0)
-      << ",\n"
-      << "    \"results_identical\": "
-      << (r.psort_identical ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"pstlx_conflict_scan\": {\n"
-      << "    \"kernel\": \"gpusan shadow-log grouping\",\n"
-      << "    \"records\": " << r.cscan_records << ",\n"
-      << "    \"hashmap_ms\": " << r.cscan_ms_hashmap << ",\n"
-      << "    \"pstlx_sort_walk_ms\": " << r.cscan_ms_pstlx << ",\n"
-      << "    \"speedup\": "
-      << (r.cscan_ms_pstlx > 0 ? r.cscan_ms_hashmap / r.cscan_ms_pstlx : 0.0)
-      << ",\n"
-      << "    \"results_identical\": "
-      << (r.cscan_identical ? "true" : "false") << "\n"
-      << "  },\n"
       << "  \"graph_replay\": {\n"
       << "    \"kernel\": \"chain of empty single-item kernels\",\n"
       << "    \"nodes\": " << r.graph_nodes << ",\n"
@@ -815,14 +663,6 @@ void run_multi_device_harness(EngineReport& rep) {
       static_cast<unsigned long long>(r.triad_n), r.triad_ms_engine,
       r.triad_ms_seed, triad_speedup, r.uneven_ms_static, r.uneven_ms_dynamic,
       r.sim_time_identical ? "true" : "false");
-  std::printf(
-      "pstlx A/B: percentile sort(n=%llu) std %.2f ms vs pstlx %.2f ms "
-      "(identical=%s); conflict scan(%llu records) hashmap %.2f ms vs "
-      "sort+walk %.2f ms (identical=%s)\n",
-      static_cast<unsigned long long>(r.psort_n), r.psort_ms_std,
-      r.psort_ms_pstlx, r.psort_identical ? "true" : "false",
-      static_cast<unsigned long long>(r.cscan_records), r.cscan_ms_hashmap,
-      r.cscan_ms_pstlx, r.cscan_identical ? "true" : "false");
   std::printf(
       "graph A/B: eager %.2f ns/launch vs replay %.2f ns/node (%.1fx, "
       "%llu nodes); stream capture/replay identical: results=%s "
@@ -893,14 +733,11 @@ int main(int argc, char** argv) {
       "%.2f ns per launch\n",
       report.profiler_off_ns, report.profiler_on_ns,
       report.profiler_after_disable_ns);
-  run_pstlx_harness(report);
   run_graph_harness(report);
   run_multi_device_harness(report);
   if (!write_engine_json(report, json_path)) return 1;
   const bool all_identical = report.sim_time_identical &&
                              report.results_identical &&
-                             report.psort_identical &&
-                             report.cscan_identical &&
                              report.graph_results_identical &&
                              report.graph_sim_time_identical &&
                              report.md_results_identical;

@@ -13,7 +13,6 @@
 
 #include "gpusim/device.hpp"
 #include "gpusim/sanitizer.hpp"
-#include "pstlx/host.hpp"
 
 namespace mcmm::gpusan {
 namespace {
@@ -245,16 +244,14 @@ void analyze_launch_races(State& s, std::uint64_t lid,
     records.push_back(r);
     return true;
   });
-  // Group by cell with a parallel stable sort on the cell address (the
-  // pstlx host fallback — this scan is one of its dogfood sites; see
-  // BENCH_gpusim.json's conflict-scan A/B). Stability keeps each cell's
-  // records in log order, so first-writer detection below behaves
-  // exactly like the per-cell vectors this replaces, and cells are now
-  // visited in deterministic address order instead of hash order.
-  pstlx::stable_sort(pstlx::host_policy{}, records.begin(), records.end(),
-                     [](const AccessRecord& x, const AccessRecord& y) {
-                       return x.cell < y.cell;
-                     });
+  // Group by cell with a stable sort on the cell address. Stability
+  // keeps each cell's records in log order, so first-writer detection
+  // below sees them in the order they were logged, and cells are visited
+  // in deterministic address order.
+  std::stable_sort(records.begin(), records.end(),
+                   [](const AccessRecord& x, const AccessRecord& y) {
+                     return x.cell < y.cell;
+                   });
 
   struct Conflict {
     std::uint64_t conflicting_cells{0};

@@ -1,8 +1,8 @@
 #pragma once
-// A simulated GPU device: descriptor + memory + queues. The Platform holds
-// N devices per vendor (lazily grown, ordinal 0 by default), standing in
-// for the multi-GPU nodes of the three-machine testbed the paper's
-// ecosystem spans.
+// A simulated GPU device: descriptor + memory + queues + the fork-join
+// pool its kernels run on. The Platform holds N devices per vendor
+// (lazily grown, ordinal 0 by default), standing in for the multi-GPU
+// nodes of the three-machine testbed the paper's ecosystem spans.
 
 #include <memory>
 #include <string_view>
@@ -12,14 +12,19 @@
 #include "gpusim/descriptor.hpp"
 #include "gpusim/queue.hpp"
 #include "gpusim/sanitizer.hpp"
+#include "gpusim/thread_pool.hpp"
 
 namespace mcmm::gpusim {
 
 class Device {
  public:
-  explicit Device(DeviceDescriptor descriptor, unsigned ordinal = 0)
+  /// Every queue of the device runs its kernels, copies and fills on
+  /// `pool`, which must outlive the device.
+  explicit Device(DeviceDescriptor descriptor, unsigned ordinal = 0,
+                  ThreadPool& pool = ThreadPool::global())
       : descriptor_(std::move(descriptor)),
         ordinal_(ordinal),
+        pool_(&pool),
         allocator_(descriptor_.memory_bytes),
         default_queue_(std::make_unique<Queue>(*this)) {}
 
@@ -43,6 +48,9 @@ class Device {
   /// Position of this device on its vendor's Platform rail (0 = the
   /// default device real runtimes select with cudaSetDevice(0)).
   [[nodiscard]] unsigned ordinal() const noexcept { return ordinal_; }
+
+  /// The fork-join pool every queue of this device executes on.
+  [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
 
   [[nodiscard]] DeviceAllocator& allocator() noexcept { return allocator_; }
   [[nodiscard]] const DeviceAllocator& allocator() const noexcept {
@@ -68,6 +76,7 @@ class Device {
  private:
   DeviceDescriptor descriptor_;
   unsigned ordinal_{0};
+  ThreadPool* pool_;
   DeviceAllocator allocator_;
   std::unique_ptr<Queue> default_queue_;
 };
@@ -78,6 +87,8 @@ class Device {
 /// to it (each with its own allocator, default queue, and sanitizer/
 /// profiler state). Sibling descriptors get a " #k" name suffix so
 /// per-device attribution stays distinguishable in profiler summaries.
+/// A new device runs on the pool of the rail's ordinal 0 (the default
+/// pool on an empty rail); reset_device is where a caller picks another.
 class Platform {
  public:
   [[nodiscard]] static Platform& instance();
@@ -97,11 +108,13 @@ class Platform {
   [[nodiscard]] std::vector<Device*> devices_of(Vendor v) noexcept;
 
   /// Replaces the vendor's device at `ordinal` with a custom-descriptor
-  /// one (tests use this for tiny-memory devices; weak-scaling runs use it
-  /// for pristine per-device clocks); returns the new device. Materializes
-  /// lower ordinals as defaults if needed so the rail stays dense.
+  /// one (tests use this for tiny-memory devices; the perf campaign for
+  /// pristine per-suite clocks); returns the new device. Materializes
+  /// lower ordinals as defaults if needed so the rail stays dense. The new
+  /// device runs on `pool` if given, else on the pool of the device it
+  /// replaces, so a pool chosen once survives later resets.
   Device& reset_device(Vendor v, const DeviceDescriptor& descriptor,
-                       unsigned ordinal = 0);
+                       unsigned ordinal = 0, ThreadPool* pool = nullptr);
 
   /// Destroys devices above ordinal `keep - 1` (teardown checkpoints fire
   /// for each). Weak-scaling scenarios shrink rails back after a run.

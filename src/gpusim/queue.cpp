@@ -9,7 +9,7 @@ namespace mcmm::gpusim {
 Queue::Queue(Device& device)
     : device_(&device),
       descriptor_(&device.descriptor()),
-      pool_(&ThreadPool::global()),
+      pool_(&device.pool()),
       max_threads_per_block_(device.descriptor().max_threads_per_block) {}
 
 void Queue::fail_launch(const LaunchConfig& cfg) const {
@@ -159,6 +159,22 @@ Platform& Platform::instance() {
   return platform;
 }
 
+namespace {
+
+/// A device for `ordinal` of `rail`, on `pool` when given, else on the
+/// pool of the rail's ordinal 0, else on the default pool.
+std::unique_ptr<Device> make_device(
+    const std::vector<std::unique_ptr<Device>>& rail,
+    DeviceDescriptor descriptor, unsigned ordinal, ThreadPool* pool) {
+  if (pool == nullptr && !rail.empty()) pool = &rail.front()->pool();
+  if (pool == nullptr) {
+    return std::make_unique<Device>(std::move(descriptor), ordinal);
+  }
+  return std::make_unique<Device>(std::move(descriptor), ordinal, *pool);
+}
+
+}  // namespace
+
 Device& Platform::device(Vendor v, unsigned ordinal) {
   auto& rail = devices_[static_cast<std::size_t>(v)];
   while (rail.size() <= ordinal) {
@@ -169,8 +185,8 @@ Device& Platform::device(Vendor v, unsigned ordinal) {
       // attribution stays distinguishable in summaries and reports.
       descriptor.name += " #" + std::to_string(rail.size());
     }
-    rail.push_back(std::make_unique<Device>(std::move(descriptor),
-                                            static_cast<unsigned>(rail.size())));
+    rail.push_back(make_device(rail, std::move(descriptor),
+                               static_cast<unsigned>(rail.size()), nullptr));
   }
   return *rail[ordinal];
 }
@@ -193,14 +209,15 @@ std::vector<Device*> Platform::devices_of(Vendor v) noexcept {
 }
 
 Device& Platform::reset_device(Vendor v, const DeviceDescriptor& descriptor,
-                               unsigned ordinal) {
+                               unsigned ordinal, ThreadPool* pool) {
   auto& rail = devices_[static_cast<std::size_t>(v)];
   if (ordinal > rail.size()) {
     // Materialize the rail up to the requested ordinal first so device
     // ordinals stay dense (ordinal == index invariant).
     static_cast<void>(device(v, ordinal - 1));
   }
-  auto replacement = std::make_unique<Device>(descriptor, ordinal);
+  if (pool == nullptr && ordinal < rail.size()) pool = &rail[ordinal]->pool();
+  auto replacement = make_device(rail, descriptor, ordinal, pool);
   if (ordinal == rail.size()) {
     rail.push_back(std::move(replacement));
   } else {

@@ -36,6 +36,10 @@ class Queue {
   [[nodiscard]] Device& device() noexcept { return *device_; }
   [[nodiscard]] const Device& device() const noexcept { return *device_; }
 
+  /// The device's fork-join pool, which runs this queue's kernels,
+  /// copies and fills.
+  [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
+
   /// Backend profile applied to subsequent kernel launches (set by the
   /// programming-model layer to reflect its software route).
   void set_backend_profile(BackendProfile profile) {

@@ -165,8 +165,9 @@ unsigned worker_count_from_env(const char* env, unsigned hardware_threads) {
 
 ThreadPool& ThreadPool::global() {
   // MCMM_NUM_THREADS pins the worker count (the OMP_NUM_THREADS idiom).
-  // The determinism battery runs the same workload at 1, 4, and
-  // hardware_concurrency workers and asserts bit-identical simulated time.
+  // The determinism tests do not go through it: they hand devices pools
+  // of 1, 4 and hardware_concurrency workers in one process and assert
+  // bit-identical results and simulated time.
   static ThreadPool pool(worker_count_from_env(
       std::getenv("MCMM_NUM_THREADS"), std::thread::hardware_concurrency()));
   return pool;

@@ -95,8 +95,9 @@ class ThreadPool {
         schedule, grain);
   }
 
-  /// The process-wide pool shared by all simulated devices. Worker count
-  /// honours MCMM_NUM_THREADS (read once, at first use).
+  /// The default pool: what a Device runs on when its creator passes no
+  /// other. Worker count honours MCMM_NUM_THREADS (read once, at first
+  /// use).
   [[nodiscard]] static ThreadPool& global();
 
  private:

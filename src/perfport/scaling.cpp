@@ -259,8 +259,10 @@ struct ScalarModel {
                                              const WeakScalingConfig& cfg) {
   gpusim::Platform& platform = gpusim::Platform::instance();
   // Fresh devices (clocks at zero) with the canonical ordinal naming:
-  // scenario timing depends only on (vendor, count, n, reps).
-  platform.trim_devices(vendor, 0);
+  // scenario timing depends only on (vendor, count, n, reps). Resetting
+  // ordinal 0 instead of trimming it keeps the rail's pool.
+  platform.trim_devices(vendor, 1);
+  (void)platform.reset_device(vendor, gpusim::descriptor_for(vendor));
   (void)platform.device(vendor, count - 1);
 
   const std::size_t n = cfg.n_per_device;
@@ -404,8 +406,9 @@ std::vector<WeakScalingSample> run_weak_scaling(
     }
     // Leave one pristine device on the vendor's rail, like the eager
     // campaign's reset_device discipline.
-    gpusim::Platform::instance().trim_devices(vendor, 0);
-    (void)gpusim::Platform::instance().device(vendor, 0);
+    gpusim::Platform::instance().trim_devices(vendor, 1);
+    (void)gpusim::Platform::instance().reset_device(
+        vendor, gpusim::descriptor_for(vendor));
   }
   return samples;
 }

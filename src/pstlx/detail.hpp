@@ -1,12 +1,12 @@
 #pragma once
-// Shared algorithm cores for pstlx (src/pstlx/pstlx.hpp is the
-// device-executed surface, src/pstlx/host.hpp the host-side fallback).
+// Algorithm cores for pstlx (src/pstlx/pstlx.hpp is the device-executed
+// surface over them).
 //
 // Everything here is deterministic by construction: tile geometry is a
 // pure function of the problem size (never of the worker count), tiles
 // are combined in index order, and the merge path is resolved by binary
-// search on the data — so results are bitwise identical across
-// MCMM_NUM_THREADS settings and Schedule::Static/Dynamic.
+// search on the data — so results are bitwise identical across pool
+// sizes and Schedule::Static/Dynamic.
 //
 // The three idioms (ROADMAP attributes them to the oneDPL pattern
 // headers; implemented from scratch here):
@@ -21,9 +21,8 @@
 // `exec(num_tasks, body)` that runs body(t) for every t in
 // [0, num_tasks), in any order, on any number of threads. The device
 // surface backs it with a gpusim::Queue launch (so gpusan and gpuprof
-// observe the work); the host surface backs it with the fork-join
-// engine directly. `Note` is a static policy that forwards per-task
-// range accesses to the sanitizer seam (device) or does nothing (host).
+// observe the work). NoteDevice forwards each task's range accesses to
+// the sanitizer seam.
 
 #include <algorithm>
 #include <array>
@@ -58,12 +57,6 @@ inline constexpr std::size_t kSortMinTile = 1024;
   const std::size_t by_grain = ceil_div(n, kSortMinTile);
   return by_grain < kSortMaxTiles ? by_grain : kSortMaxTiles;
 }
-
-/// No-op access policy (host fallback: nothing to shadow-log).
-struct NoteNothing {
-  static void read(const void*, std::size_t) noexcept {}
-  static void write(const void*, std::size_t) noexcept {}
-};
 
 /// Device access policy: forwards each task's input/output ranges to the
 /// sanitizer seam, so gpusan's memcheck bounds-checks them and racecheck
@@ -124,7 +117,7 @@ void merge_serial(ItA a, std::size_t ia, std::size_t ia_end, ItB b,
 /// range is cut into sort_tiles(na + nb) equal segments; each task
 /// co-ranks its segment's endpoints and merges its slice serially.
 /// Segments partition the inputs and the output, so tasks are disjoint.
-template <typename T, typename Comp, typename Note, typename Exec>
+template <typename T, typename Comp, typename Exec>
 void parallel_merge(const T* a, std::size_t na, const T* b, std::size_t nb,
                     T* out, Comp comp, Exec&& exec) {
   const std::size_t total = na + nb;
@@ -139,9 +132,9 @@ void parallel_merge(const T* a, std::size_t na, const T* b, std::size_t nb,
     const std::size_t i1 = co_rank(d1, a, na, b, nb, comp);
     const std::size_t j0 = d0 - i0;
     const std::size_t j1 = d1 - i1;
-    Note::read(a + i0, (i1 - i0) * sizeof(T));
-    Note::read(b + j0, (j1 - j0) * sizeof(T));
-    Note::write(out + d0, (d1 - d0) * sizeof(T));
+    NoteDevice::read(a + i0, (i1 - i0) * sizeof(T));
+    NoteDevice::read(b + j0, (j1 - j0) * sizeof(T));
+    NoteDevice::write(out + d0, (d1 - d0) * sizeof(T));
     merge_serial(a, i0, i1, b, j0, j1, out, d0, comp);
   });
 }
@@ -152,8 +145,7 @@ void parallel_merge(const T* a, std::size_t na, const T* b, std::size_t nb,
 /// co-rank into independent tasks. `tmp` must hold n elements; rounds
 /// ping-pong between data and tmp with a tiled copy-back if the final
 /// round lands in tmp.
-template <bool Stable, typename T, typename Comp, typename Note,
-          typename Exec>
+template <bool Stable, typename T, typename Comp, typename Exec>
 void blocked_merge_sort(T* data, std::size_t n, Comp comp, T* tmp,
                         Exec&& exec) {
   const std::size_t tiles = sort_tiles(n);
@@ -165,8 +157,8 @@ void blocked_merge_sort(T* data, std::size_t n, Comp comp, T* tmp,
     const std::size_t b = std::min(n, t * tile);
     const std::size_t e = std::min(n, b + tile);
     if (b >= e) return;
-    Note::read(data + b, (e - b) * sizeof(T));
-    Note::write(data + b, (e - b) * sizeof(T));
+    NoteDevice::read(data + b, (e - b) * sizeof(T));
+    NoteDevice::write(data + b, (e - b) * sizeof(T));
     if constexpr (Stable) {
       std::stable_sort(data + b, data + e, comp);
     } else {
@@ -203,9 +195,9 @@ void blocked_merge_sort(T* data, std::size_t n, Comp comp, T* tmp,
       const std::size_t i1 = co_rank(d1, a, na, b, nb, comp);
       const std::size_t j0 = d0 - i0;
       const std::size_t j1 = d1 - i1;
-      Note::read(a + i0, (i1 - i0) * sizeof(T));
-      Note::read(b + j0, (j1 - j0) * sizeof(T));
-      Note::write(dst + base + d0, (d1 - d0) * sizeof(T));
+      NoteDevice::read(a + i0, (i1 - i0) * sizeof(T));
+      NoteDevice::read(b + j0, (j1 - j0) * sizeof(T));
+      NoteDevice::write(dst + base + d0, (d1 - d0) * sizeof(T));
       merge_serial(a, i0, i1, b, j0, j1, dst + base, d0, comp);
     });
     std::swap(src, dst);
@@ -216,8 +208,8 @@ void blocked_merge_sort(T* data, std::size_t n, Comp comp, T* tmp,
       const std::size_t b = std::min(n, t * tile);
       const std::size_t e = std::min(n, b + tile);
       if (b >= e) return;
-      Note::read(src + b, (e - b) * sizeof(T));
-      Note::write(data + b, (e - b) * sizeof(T));
+      NoteDevice::read(src + b, (e - b) * sizeof(T));
+      NoteDevice::write(data + b, (e - b) * sizeof(T));
       std::copy(src + b, src + e, data + b);
     });
   }
@@ -262,7 +254,7 @@ template <typename R, typename Transform, typename Combine,
 /// `init`. Generic over the combine op, so no identity element is
 /// assumed: tile 0 of an inclusive scan starts from in[0] itself.
 template <bool Inclusive, typename T, typename U, typename Op,
-          typename Note, typename Exec>
+          typename Exec>
 void two_pass_scan(const T* in, U* out, std::size_t n, U init, Op op,
                    Exec&& exec) {
   if (n == 0) return;
@@ -275,7 +267,7 @@ void two_pass_scan(const T* in, U* out, std::size_t n, U init, Op op,
     const std::size_t b = c * tile;
     const std::size_t e = std::min(n, b + tile);
     if (b >= e) return;
-    Note::read(in + b, (e - b) * sizeof(T));
+    NoteDevice::read(in + b, (e - b) * sizeof(T));
     U acc = static_cast<U>(in[b]);
     for (std::size_t i = b + 1; i < e; ++i) {
       acc = op(acc, static_cast<U>(in[i]));
@@ -303,8 +295,8 @@ void two_pass_scan(const T* in, U* out, std::size_t n, U init, Op op,
     const std::size_t b = c * tile;
     const std::size_t e = std::min(n, b + tile);
     if (b >= e) return;
-    Note::read(in + b, (e - b) * sizeof(T));
-    Note::write(out + b, (e - b) * sizeof(U));
+    NoteDevice::read(in + b, (e - b) * sizeof(T));
+    NoteDevice::write(out + b, (e - b) * sizeof(U));
     if constexpr (Inclusive) {
       U acc = c == 0 ? static_cast<U>(in[b])
                      : op(offsets[c], static_cast<U>(in[b]));

@@ -6,8 +6,7 @@
 // the gpusan shadow log and the gpuprof roofline summaries observe
 // every access and every launch with no pstlx-specific plumbing.
 //
-// Algorithm cores live in src/pstlx/detail.hpp and are shared with the
-// host fallback (src/pstlx/host.hpp):
+// Algorithm cores live in src/pstlx/detail.hpp:
 //   reduce / transform_reduce  blocked 64-chunk reduce (bitwise equal
 //                              to stdparx::detail::chunked_reduce)
 //   inclusive/exclusive_scan   two-pass block scan
@@ -269,7 +268,7 @@ void inclusive_scan(const stdparx::execution_policy& pol, const T* first,
   const auto costs = detail::streaming_costs(
       static_cast<double>(n * sizeof(T)), static_cast<double>(n * sizeof(U)),
       static_cast<double>(n));
-  detail::two_pass_scan<true, T, U, Op, detail::NoteDevice>(
+  detail::two_pass_scan<true, T, U, Op>(
       first, out, n, U{}, op, detail::queue_exec{&pol.queue(), costs});
 }
 
@@ -282,7 +281,7 @@ void exclusive_scan(const stdparx::execution_policy& pol, const T* first,
   const auto costs = detail::streaming_costs(
       static_cast<double>(n * sizeof(T)), static_cast<double>(n * sizeof(U)),
       static_cast<double>(n));
-  detail::two_pass_scan<false, T, U, Op, detail::NoteDevice>(
+  detail::two_pass_scan<false, T, U, Op>(
       first, out, n, init, op, detail::queue_exec{&pol.queue(), costs});
 }
 
@@ -302,7 +301,7 @@ void device_sort(const stdparx::execution_policy& pol, T* first, T* last,
                                      static_cast<double>(n * sizeof(T)),
                                      static_cast<double>(n));
   device_buffer<T> tmp(pol.device(), n, "pstlx::sort scratch");
-  blocked_merge_sort<Stable, T, Comp, NoteDevice>(
+  blocked_merge_sort<Stable, T, Comp>(
       first, n, comp, tmp.data(), queue_exec{&pol.queue(), costs});
 }
 
@@ -334,7 +333,7 @@ void merge(const stdparx::execution_policy& pol, const T* first1,
       static_cast<double>((na + nb) * sizeof(T)),
       static_cast<double>((na + nb) * sizeof(T)),
       static_cast<double>(na + nb));
-  detail::parallel_merge<T, Comp, detail::NoteDevice>(
+  detail::parallel_merge<T, Comp>(
       first1, na, first2, nb, out, comp,
       detail::queue_exec{&pol.queue(), costs});
 }

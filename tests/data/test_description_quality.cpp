@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <ostream>
 
 #include "data/dataset.hpp"
 
@@ -30,6 +31,12 @@ struct KeyRoute {
   int description_id;
   const char* term;
 };
+
+// Without it gtest prints the raw bytes, pointer included, so the listed
+// test names would change from run to run.
+void PrintTo(const KeyRoute& route, std::ostream* os) {
+  *os << 'd' << route.description_id << " \"" << route.term << '"';
+}
 
 class DescriptionMentionsTest : public ::testing::TestWithParam<KeyRoute> {};
 

@@ -1,27 +1,23 @@
-// Simulated-time determinism regression test: the traced simulated
-// timestamps must be BIT-identical (not approximately equal) across
-// MCMM_NUM_THREADS = 1, 4, and hardware_concurrency, and identical with
-// the profiler on or off. The worker count is pinned per process (the
-// global pool is a process-wide singleton), so the cross-thread-count leg
-// re-executes this binary via /proc/self/exe with `--emit-trace`, which
-// prints every simulated timestamp as raw IEEE-754 bits.
+// Simulated-time determinism: the traced simulated timestamps are
+// BIT-identical (not approximately equal) on pools of 1, 4 and
+// hardware_concurrency workers, and identical with the profiler on or
+// off. Every timestamp is fingerprinted as raw IEEE-754 bits; the
+// fingerprint's FNV-1a digest is pinned.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gpuprof/gpuprof.hpp"
 #include "gpusim/device.hpp"
+#include "support/fnv1a.hpp"
+#include "support/pools.hpp"
 
 namespace {
 
@@ -31,16 +27,28 @@ using mcmm::gpusim::KernelCosts;
 using mcmm::gpusim::LaunchPolicy;
 using mcmm::gpusim::Queue;
 using mcmm::gpusim::Schedule;
+using mcmm::gpusim::ThreadPool;
 using mcmm::gpusim::WorkItem;
 using mcmm::gpusim::launch_1d;
 
+/// Digest of sim_fingerprint(trace of run_workload), recorded when each
+/// pool size still ran in a process of its own (MCMM_NUM_THREADS = 1, 4
+/// and hw).
+constexpr std::uint64_t kTraceDigest = 0xb196615968542ef1ULL;
+
 /// A deterministic mixed workload touching every traced op kind, both
-/// schedules, and all three vendor descriptors.
-void run_workload() {
+/// schedules, and all three vendor descriptors, on devices run by `pool`.
+void run_workload(ThreadPool& pool) {
   constexpr std::uint64_t n = 1 << 14;
+  // Every device lives until the end, so each queue has an address of its
+  // own: the profiler numbers queues by address, and a freed queue's
+  // address may or may not be reused depending on the allocator.
+  std::vector<std::unique_ptr<Device>> devices;
   for (const Vendor v : {Vendor::AMD, Vendor::Intel, Vendor::NVIDIA}) {
-    Device dev(mcmm::gpusim::descriptor_for(v));
+    Device& dev = *devices.emplace_back(std::make_unique<Device>(
+        mcmm::gpusim::descriptor_for(v), 0, pool));
     Queue& q = dev.default_queue();
+    EXPECT_EQ(&q.pool(), &pool);
     auto* d = static_cast<double*>(dev.allocate(n * sizeof(double)));
     std::vector<double> h(n, 1.0);
     q.memcpy(d, h.data(), n * sizeof(double),
@@ -90,63 +98,20 @@ std::string sim_fingerprint(const mcmm::gpuprof::Trace& trace) {
   return out.str();
 }
 
-/// Child mode: run the workload under the profiler, print the fingerprint.
-int emit_trace() {
-  mcmm::gpuprof::reset();
-  mcmm::gpuprof::enable();
-  run_workload();
-  const mcmm::gpuprof::Trace trace = mcmm::gpuprof::finalize();
-  std::fputs(sim_fingerprint(trace).c_str(), stdout);
-  return trace.empty() ? 1 : 0;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// This binary's path, resolved in-process (inside std::system's shell,
-/// /proc/self/exe would name the shell).
-std::string self_exe() {
-  char buffer[4096];
-  const ssize_t len =
-      ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (len <= 0) return {};
-  buffer[len] = '\0';
-  return buffer;
-}
-
-/// Re-executes this binary with MCMM_NUM_THREADS pinned and returns the
-/// child's fingerprint.
-std::string fingerprint_with_threads(unsigned threads,
-                                     const std::string& tag) {
-  const std::string exe = self_exe();
-  if (exe.empty()) {
-    ADD_FAILURE() << "cannot resolve /proc/self/exe";
-    return {};
+TEST(Determinism, SimTimestampsMatchTheDigestOnEveryPoolSize) {
+  for (const unsigned workers : mcmm::testing::determinism_worker_counts()) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    ThreadPool pool(workers);
+    mcmm::gpuprof::reset();
+    mcmm::gpuprof::enable();
+    run_workload(pool);
+    const mcmm::gpuprof::Trace trace = mcmm::gpuprof::finalize();
+    mcmm::gpuprof::reset();
+    ASSERT_FALSE(trace.empty());
+    const std::string fingerprint = sim_fingerprint(trace);
+    EXPECT_EQ(mcmm::testing::fnv1a(fingerprint), kTraceDigest)
+        << fingerprint;
   }
-  const std::string out_path =
-      "gpuprof_determinism_" + tag + ".out";
-  const std::string cmd = "MCMM_NUM_THREADS=" + std::to_string(threads) +
-                          " '" + exe + "' --emit-trace > '" + out_path +
-                          "' 2>/dev/null";
-  const int rc = std::system(cmd.c_str());
-  EXPECT_EQ(rc, 0) << "child re-exec failed for " << threads << " threads";
-  const std::string fp = read_file(out_path);
-  std::remove(out_path.c_str());
-  return fp;
-}
-
-TEST(Determinism, SimTimestampsBitIdenticalAcrossWorkerCounts) {
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  const std::string fp1 = fingerprint_with_threads(1, "t1");
-  const std::string fp4 = fingerprint_with_threads(4, "t4");
-  const std::string fphw = fingerprint_with_threads(hw, "thw");
-  ASSERT_FALSE(fp1.empty());
-  EXPECT_EQ(fp1, fp4) << "simulated timeline depends on the worker count";
-  EXPECT_EQ(fp1, fphw) << "simulated timeline depends on the worker count";
 }
 
 TEST(Determinism, SimTimestampsUnaffectedByProfilerOnOff) {
@@ -186,26 +151,4 @@ TEST(Determinism, SimTimestampsUnaffectedByProfilerOnOff) {
   mcmm::gpuprof::reset();
 }
 
-TEST(Determinism, BackToBackRunsInOneProcessMatch) {
-  mcmm::gpuprof::reset();
-  mcmm::gpuprof::enable();
-  run_workload();
-  const std::string first = sim_fingerprint(mcmm::gpuprof::finalize());
-  mcmm::gpuprof::reset();
-  mcmm::gpuprof::enable();
-  run_workload();
-  const std::string second = sim_fingerprint(mcmm::gpuprof::finalize());
-  mcmm::gpuprof::reset();
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--emit-trace") == 0) return emit_trace();
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -3,9 +3,9 @@
 // eager path, fusion of single-item runs, explicit-DAG construction with
 // wavefront scheduling, the one-shot instantiate-time validation pass
 // (cycles, launch limits, buffer lifetime, races between unordered
-// nodes), capture-mode misuse errors, the multi-device Platform rails,
-// P2P copy timing properties, and the profiler's folded graph
-// attribution.
+// nodes), capture-mode misuse errors, the multi-device Platform rails
+// and the pool they hand their devices, P2P copy timing properties, and
+// the profiler's folded graph attribution.
 
 #include <gtest/gtest.h>
 
@@ -538,6 +538,25 @@ TEST(MultiDevice, PlatformGrowsDenseOrdinalRails) {
   EXPECT_EQ(p.try_device(Vendor::AMD, 2), nullptr);
   p.trim_devices(Vendor::AMD, 0);
   (void)p.device(Vendor::AMD, 0);  // restore the default rail
+}
+
+TEST(MultiDevice, RailKeepsItsPoolAcrossResetsAndGrowth) {
+  Platform& p = Platform::instance();
+  ThreadPool pool(1);
+  p.trim_devices(Vendor::AMD, 1);
+  (void)p.reset_device(Vendor::AMD, descriptor_for(Vendor::AMD), 0, &pool);
+  (void)p.reset_device(Vendor::AMD, descriptor_for(Vendor::AMD));
+  EXPECT_EQ(&p.device(Vendor::AMD).pool(), &pool) << "a reset keeps the pool";
+  EXPECT_EQ(&p.device(Vendor::AMD, 2).pool(), &pool) << "growth inherits it";
+  EXPECT_EQ(&p.device(Vendor::AMD).default_queue().pool(), &pool);
+  EXPECT_EQ(&p.device(Vendor::AMD).create_queue()->pool(), &pool);
+
+  // Back on the default pool before `pool` dies.
+  p.trim_devices(Vendor::AMD, 1);
+  (void)p.reset_device(Vendor::AMD, descriptor_for(Vendor::AMD), 0,
+                       &ThreadPool::global());
+  EXPECT_EQ(&p.device(Vendor::AMD, 1).pool(), &ThreadPool::global());
+  p.trim_devices(Vendor::AMD, 1);
 }
 
 TEST(MultiDevice, PeerCopyMovesBytesAndBillsTheLink) {

@@ -1,43 +1,31 @@
-// Graph-replay determinism regression test: the device results and final
-// simulated clock of a captured-and-replayed kernel graph must be
-// BIT-identical across MCMM_NUM_THREADS = 1, 4, and
-// hardware_concurrency, for both Static and Dynamic launch schedules —
-// and identical to the eager submission of the same workload. The worker
-// count is pinned per process (the pool is a process-wide singleton), so
-// the cross-thread-count leg re-executes this binary via /proc/self/exe
-// with `--emit-fingerprint`, which prints every double as raw IEEE-754
-// bits.
+// Graph-replay determinism: the device results and final simulated clock
+// of a captured-and-replayed kernel graph are BIT-identical on pools of
+// 1, 4 and hardware_concurrency workers, for both Static and Dynamic
+// launch schedules, and identical to the eager submission of the same
+// workload. Every double is fingerprinted as raw IEEE-754 bits; the
+// fingerprint's FNV-1a digest is pinned, so a change shows even when
+// every pool size moves the same way.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gpusim/device.hpp"
 #include "gpusim/graph.hpp"
+#include "support/fnv1a.hpp"
+#include "support/pools.hpp"
 
+namespace mcmm::gpusim {
 namespace {
 
-using mcmm::Vendor;
-using mcmm::gpusim::CopyKind;
-using mcmm::gpusim::Device;
-using mcmm::gpusim::ExecutableGraph;
-using mcmm::gpusim::Graph;
-using mcmm::gpusim::KernelCosts;
-using mcmm::gpusim::LaunchPolicy;
-using mcmm::gpusim::Queue;
-using mcmm::gpusim::Schedule;
-using mcmm::gpusim::WorkItem;
-using mcmm::gpusim::launch_1d;
+/// Digest of the fingerprint below, recorded when each pool size still
+/// ran in a process of its own (MCMM_NUM_THREADS = 1, 4 and hw).
+constexpr std::uint64_t kFingerprintDigest = 0xb8a11b1177e96eadULL;
 
 /// Hex bit pattern of a double: bit-identical comparison, immune to
 /// printf rounding.
@@ -97,12 +85,14 @@ void submit(Queue& q, double* a, double* b, double* partials,
   }
 }
 
-/// One run on a fresh device: eager or captured-from-clock-0 and
-/// replayed once. Returns "<sim bits> <a0 bits> <head bits...>".
-std::string run_once(Schedule schedule, bool graphed) {
+/// One run on a fresh device on `pool`: eager or captured-from-clock-0
+/// and replayed once. Returns "<sim bits> <a head bits...> <b head
+/// bits...>".
+std::string run_once(ThreadPool& pool, Schedule schedule, bool graphed) {
   constexpr std::uint64_t n = 1 << 16;
-  Device dev(mcmm::gpusim::tiny_test_device(std::size_t{8} << 20));
+  Device dev(tiny_test_device(std::size_t{8} << 20), 0, pool);
   Queue& q = dev.default_queue();
+  EXPECT_EQ(&q.pool(), &pool);
   auto* a = static_cast<double*>(dev.allocate(n * sizeof(double)));
   auto* b = static_cast<double*>(dev.allocate(n * sizeof(double)));
   auto* partials = static_cast<double*>(dev.allocate(64 * sizeof(double)));
@@ -121,97 +111,31 @@ std::string run_once(Schedule schedule, bool graphed) {
   std::vector<double> h(16);
   q.memcpy(h.data(), a, 16 * sizeof(double), CopyKind::DeviceToHost);
   for (const double x : h) out << ' ' << bits(x);
-  std::vector<double> hb(16);
-  q.memcpy(hb.data(), b, 16 * sizeof(double), CopyKind::DeviceToHost);
-  for (const double x : hb) out << ' ' << bits(x);
+  q.memcpy(h.data(), b, 16 * sizeof(double), CopyKind::DeviceToHost);
+  for (const double x : h) out << ' ' << bits(x);
   dev.deallocate(partials);
   dev.deallocate(b);
   dev.deallocate(a);
   return out.str();
 }
 
-/// Child mode: one fingerprint line per (schedule, path) leg. Replay
-/// legs must already match their eager legs inside the child; the parent
-/// then compares whole fingerprints across worker counts.
-int emit_fingerprint() {
-  int rc = 0;
-  for (const Schedule s : {Schedule::Static, Schedule::Dynamic}) {
-    const std::string eager = run_once(s, false);
-    const std::string replay = run_once(s, true);
-    if (eager != replay) rc = 1;
-    std::printf("eager %d %s\n", static_cast<int>(s), eager.c_str());
-    std::printf("replay %d %s\n", static_cast<int>(s), replay.c_str());
-  }
-  return rc;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// This binary's path, resolved in-process (inside std::system's shell,
-/// /proc/self/exe would name the shell).
-std::string self_exe() {
-  char buffer[4096];
-  const ssize_t len =
-      ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (len <= 0) return {};
-  buffer[len] = '\0';
-  return buffer;
-}
-
-/// Re-executes this binary with MCMM_NUM_THREADS pinned and returns the
-/// child's fingerprint.
-std::string fingerprint_with_threads(unsigned threads,
-                                     const std::string& tag) {
-  const std::string exe = self_exe();
-  if (exe.empty()) {
-    ADD_FAILURE() << "cannot resolve /proc/self/exe";
-    return {};
-  }
-  const std::string out_path = "graph_determinism_" + tag + ".out";
-  const std::string cmd = "MCMM_NUM_THREADS=" + std::to_string(threads) +
-                          " '" + exe + "' --emit-fingerprint > '" +
-                          out_path + "' 2>/dev/null";
-  const int rc = std::system(cmd.c_str());
-  EXPECT_EQ(rc, 0) << "child re-exec failed (or replay diverged from "
-                      "eager) for "
-                   << threads << " threads";
-  const std::string fp = read_file(out_path);
-  std::remove(out_path.c_str());
-  return fp;
-}
-
-TEST(GraphDeterminism, ReplayBitIdenticalAcrossWorkerCountsAndSchedules) {
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  const std::string fp1 = fingerprint_with_threads(1, "t1");
-  const std::string fp4 = fingerprint_with_threads(4, "t4");
-  const std::string fphw = fingerprint_with_threads(hw, "thw");
-  ASSERT_FALSE(fp1.empty());
-  EXPECT_EQ(fp1, fp4) << "graph replay depends on the worker count";
-  EXPECT_EQ(fp1, fphw) << "graph replay depends on the worker count";
-}
-
-TEST(GraphDeterminism, BackToBackRunsInOneProcessMatch) {
-  for (const Schedule s : {Schedule::Static, Schedule::Dynamic}) {
-    const std::string first = run_once(s, true);
-    const std::string second = run_once(s, true);
-    ASSERT_FALSE(first.empty());
-    EXPECT_EQ(first, second);
+TEST(GraphDeterminism, ReplayMatchesEagerAndTheDigestOnEveryPoolSize) {
+  for (const unsigned workers : testing::determinism_worker_counts()) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    ThreadPool pool(workers);
+    std::string fingerprint;
+    for (const Schedule s : {Schedule::Static, Schedule::Dynamic}) {
+      const std::string eager = run_once(pool, s, false);
+      const std::string replay = run_once(pool, s, true);
+      EXPECT_EQ(eager, replay) << "replay diverged from eager";
+      const std::string tag = ' ' + std::to_string(static_cast<int>(s)) + ' ';
+      fingerprint += "eager" + tag + eager + '\n';
+      fingerprint += "replay" + tag + replay + '\n';
+    }
+    EXPECT_EQ(testing::fnv1a(fingerprint), kFingerprintDigest)
+        << fingerprint;
   }
 }
 
 }  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--emit-fingerprint") == 0) {
-      return emit_fingerprint();
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
+}  // namespace mcmm::gpusim

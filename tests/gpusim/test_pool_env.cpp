@@ -1,7 +1,13 @@
 // MCMM_NUM_THREADS parsing, tested as a pure function: no pool is built
-// from these values, so the large ones start no threads.
+// from these values, so the large ones start no threads. One case checks
+// that the default pool takes its size from the variable; ctest also runs
+// it with MCMM_NUM_THREADS=3 set.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <thread>
 
 #include "gpusim/thread_pool.hpp"
 
@@ -32,6 +38,14 @@ TEST(ThreadPoolEnv, LargeValuesClampToFourTimesHardwareThreads) {
 TEST(ThreadPoolEnv, UnknownHardwareCountsAsOneThread) {
   EXPECT_EQ(worker_count_from_env("4", 0), 4u);
   EXPECT_EQ(worker_count_from_env("5", 0), 4u);
+}
+
+TEST(ThreadPoolEnv, DefaultPoolSizeFollowsTheVariable) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned picked =
+      worker_count_from_env(std::getenv("MCMM_NUM_THREADS"), hw);
+  const unsigned expected = picked != 0 ? picked : std::max(2u, hw);
+  EXPECT_EQ(ThreadPool::global().worker_count(), expected);
 }
 
 }  // namespace

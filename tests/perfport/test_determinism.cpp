@@ -1,31 +1,26 @@
-// BENCH_perfport.json determinism regression test: the campaign records
-// only simulated-clock quantities, so its JSON report must be
-// byte-identical across MCMM_NUM_THREADS = 1, 4, and
-// hardware_concurrency. The worker count is pinned per process (the
-// global pool is a process-wide singleton), so each leg re-executes this
-// binary via /proc/self/exe with `--emit-report`, which prints the full
-// report_json of a reduced campaign.
+// BENCH_perfport.json determinism: the campaign records only
+// simulated-clock quantities, so its JSON report is byte-identical on
+// pools of 1, 4 and hardware_concurrency workers. The report's FNV-1a
+// digest is pinned.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <cstdint>
 #include <string>
-#include <thread>
 
 #include "perfport/perfport.hpp"
+#include "support/fnv1a.hpp"
+#include "support/pools.hpp"
 
 namespace {
 
 using mcmm::perfport::CampaignConfig;
 using mcmm::perfport::PerfKernel;
-using mcmm::perfport::report_json;
-using mcmm::perfport::run_campaign;
+
+/// Digest of report_json(run_campaign(reduced_config())), recorded when
+/// each pool size still ran in a process of its own (MCMM_NUM_THREADS =
+/// 1, 4 and hw).
+constexpr std::uint64_t kReportDigest = 0xa41e20972eaff0f3ULL;
 
 /// Reduced but representative sweep: all vendors and schedules, two sizes,
 /// a reduction-heavy and an uneven-work kernel alongside Triad.
@@ -37,74 +32,23 @@ CampaignConfig reduced_config() {
   return cfg;
 }
 
-/// Child mode: run the campaign, print the JSON report verbatim.
-int emit_report() {
-  const auto report = run_campaign(reduced_config());
-  const std::string json = report_json(report);
-  std::fputs(json.c_str(), stdout);
-  return report.samples.empty() ? 1 : 0;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// This binary's path, resolved in-process (inside std::system's shell,
-/// /proc/self/exe would name the shell).
-std::string self_exe() {
-  char buffer[4096];
-  const ssize_t len =
-      ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (len <= 0) return {};
-  buffer[len] = '\0';
-  return buffer;
-}
-
-/// Re-executes this binary with MCMM_NUM_THREADS pinned and returns the
-/// child's report bytes.
-std::string report_with_threads(unsigned threads, const std::string& tag) {
-  const std::string exe = self_exe();
-  if (exe.empty()) {
-    ADD_FAILURE() << "cannot resolve /proc/self/exe";
-    return {};
+TEST(PerfportDeterminism, ReportMatchesTheDigestOnEveryPoolSize) {
+  for (const unsigned workers : mcmm::testing::determinism_worker_counts()) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    mcmm::gpusim::ThreadPool pool(workers);
+    const mcmm::testing::RailsOnPool rails(pool);
+    const auto report = mcmm::perfport::run_campaign(reduced_config());
+    ASSERT_FALSE(report.samples.empty());
+    EXPECT_EQ(mcmm::testing::fnv1a(mcmm::perfport::report_json(report)),
+              kReportDigest);
+    // The campaign resets each vendor's device per suite; the resets keep
+    // the pool, so the whole sweep ran on it.
+    for (const mcmm::Vendor v : mcmm::kAllVendors) {
+      mcmm::gpusim::Device& dev = mcmm::gpusim::Platform::instance().device(v);
+      EXPECT_EQ(&dev.pool(), &pool);
+      EXPECT_EQ(&dev.default_queue().pool(), &pool);
+    }
   }
-  const std::string out_path = "perfport_determinism_" + tag + ".json";
-  const std::string cmd = "MCMM_NUM_THREADS=" + std::to_string(threads) +
-                          " '" + exe + "' --emit-report > '" + out_path +
-                          "' 2>/dev/null";
-  const int rc = std::system(cmd.c_str());
-  EXPECT_EQ(rc, 0) << "child re-exec failed for " << threads << " threads";
-  const std::string report = read_file(out_path);
-  std::remove(out_path.c_str());
-  return report;
-}
-
-TEST(PerfportDeterminism, ReportBytesIdenticalAcrossWorkerCounts) {
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  const std::string r1 = report_with_threads(1, "t1");
-  const std::string r4 = report_with_threads(4, "t4");
-  const std::string rhw = report_with_threads(hw, "thw");
-  ASSERT_FALSE(r1.empty());
-  EXPECT_EQ(r1, r4) << "BENCH_perfport.json depends on the worker count";
-  EXPECT_EQ(r1, rhw) << "BENCH_perfport.json depends on the worker count";
-}
-
-TEST(PerfportDeterminism, BackToBackRunsInOneProcessMatch) {
-  const std::string first = report_json(run_campaign(reduced_config()));
-  const std::string second = report_json(run_campaign(reduced_config()));
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
 }
 
 }  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--emit-report") == 0) return emit_report();
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

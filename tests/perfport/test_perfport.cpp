@@ -3,7 +3,8 @@
 // unsupported-platform and degenerate cases follow the Pennycook
 // convention, and a small campaign is checked end to end for route
 // coverage, verification, metric ranges, and schedule invariance of the
-// simulated clock.
+// simulated clock; the weak-scaling per-device shares are checked against
+// totals computed from the suite's declared costs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,6 +12,9 @@
 #include <tuple>
 #include <vector>
 
+#include "bench_support/stream.hpp"
+#include "gpusim/costs.hpp"
+#include "gpusim/descriptor.hpp"
 #include "perfport/perfport.hpp"
 
 namespace {
@@ -25,6 +29,15 @@ using mcmm::perfport::PerfReport;
 using mcmm::perfport::PerfRow;
 using mcmm::perfport::RouteSample;
 using mcmm::perfport::run_campaign;
+using mcmm::perfport::run_weak_scaling;
+using mcmm::perfport::DeviceShare;
+using mcmm::perfport::WeakScalingConfig;
+using mcmm::perfport::WeakScalingSample;
+using mcmm::gpusim::BackendProfile;
+using mcmm::gpusim::descriptor_for;
+using mcmm::gpusim::DeviceDescriptor;
+using mcmm::gpusim::kernel_time_us;
+using mcmm::gpusim::KernelCosts;
 
 TEST(PerformancePortability, HarmonicMeanRecomputedBitForBit) {
   const std::vector<double> e{0.517, 0.25, 0.803};
@@ -208,6 +221,60 @@ TEST(Campaign, EmptyDimensionsAreRejected) {
   cfg = CampaignConfig{};
   cfg.schedules.clear();
   EXPECT_THROW((void)run_campaign(cfg), std::invalid_argument);
+}
+
+TEST(WeakScaling, DeviceSharesSumEverySuiteKernelOverEveryRep) {
+  // Expected shares computed without the profiler fold: each device
+  // replays the suite `reps` times, and the suite is Copy, Mul, Add,
+  // Triad, Dot and Reduce (each a 64-chunk partial pass plus a combine)
+  // and Uneven, with these declared costs.
+  WeakScalingConfig cfg;
+  cfg.n_per_device = 4096;
+  cfg.reps = 3;
+  cfg.device_counts = {1, 2};
+  const double n = static_cast<double>(cfg.n_per_device);
+  const double nd = n * sizeof(double);
+  const double partials = 64 * sizeof(double);
+  const double span =
+      static_cast<double>(mcmm::bench::uneven_span_total(cfg.n_per_device));
+  const auto costs = [](double read, double written, double flops) {
+    KernelCosts c;
+    c.bytes_read = read;
+    c.bytes_written = written;
+    c.flops = flops;
+    return c;
+  };
+  const std::vector<KernelCosts> suite = {
+      costs(nd, nd, 0),                        // Copy
+      costs(nd, nd, n),                        // Mul
+      costs(2 * nd, nd, n),                    // Add
+      costs(2 * nd, nd, 2 * n),                // Triad
+      costs(2 * nd, partials, 2 * n),          // Dot partials
+      costs(partials, sizeof(double), 64),     // Dot combine
+      costs(nd, partials, 2 * n),              // Reduce partials
+      costs(partials, sizeof(double), 64),     // Reduce combine
+      costs(span * sizeof(double), nd, span),  // Uneven
+  };
+
+  const std::vector<WeakScalingSample> samples = run_weak_scaling(cfg);
+  ASSERT_EQ(samples.size(), 6u);
+  for (const WeakScalingSample& sample : samples) {
+    const DeviceDescriptor desc = descriptor_for(sample.vendor);
+    double bytes = 0.0;
+    double sim_us = 0.0;
+    for (const KernelCosts& c : suite) {
+      bytes += c.total_bytes();
+      sim_us += kernel_time_us(desc, BackendProfile{}, c);
+    }
+    bytes *= cfg.reps;
+    sim_us *= cfg.reps;
+    ASSERT_EQ(sample.shares.size(), sample.devices);
+    for (const DeviceShare& share : sample.shares) {
+      SCOPED_TRACE(share.device);
+      EXPECT_EQ(share.bytes, bytes);
+      EXPECT_NEAR(share.sim_us, sim_us, 1e-9 * sim_us);
+    }
+  }
 }
 
 }  // namespace

@@ -1,37 +1,37 @@
-// pstlx determinism regression test: every algorithm's output — and the
-// simulated clock it produces — must be byte-identical across
-// MCMM_NUM_THREADS = 1, 4, and hardware_concurrency, under both launch
-// schedules. The worker count is pinned per process (the global pool is
-// a process-wide singleton), so each leg re-executes this binary via
-// /proc/self/exe with `--emit-fingerprint`, which prints a full dump of
-// every result buffer plus the simulated time consumed.
+// pstlx determinism: every algorithm's output, and the simulated clock
+// it produces, is byte-identical on pools of 1, 4 and
+// hardware_concurrency workers, under both launch schedules. The
+// fingerprint dumps every result buffer plus the simulated time consumed;
+// its FNV-1a digest is pinned.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "models/stdparx/stdparx.hpp"
-#include "pstlx/host.hpp"
 #include "pstlx/pstlx.hpp"
+#include "support/fnv1a.hpp"
+#include "support/pools.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using mcmm::Vendor;
+using mcmm::gpusim::Schedule;
+using mcmm::gpusim::ThreadPool;
 using mcmm::stdparx::Runtime;
 namespace pstlx = mcmm::pstlx;
 namespace mtest = mcmm::testing;
 
 constexpr std::size_t kN = 12289;  // prime: short tail tiles everywhere
+
+/// Digest of fingerprint(Static) + fingerprint(Dynamic), recorded when
+/// each pool size still ran in a process of its own (MCMM_NUM_THREADS =
+/// 1, 4 and hw).
+constexpr std::uint64_t kFingerprintDigest = 0x01b1bfed9b370930ULL;
 
 void dump(std::ostream& os, const char* tag, const auto& v) {
   os << tag << ':';
@@ -39,11 +39,12 @@ void dump(std::ostream& os, const char* tag, const auto& v) {
   os << '\n';
 }
 
-/// One schedule's worth of device + host algorithm runs, streamed as
-/// text. Any thread-count dependence shows up as a byte diff.
-void fingerprint_schedule(std::ostream& os, mcmm::gpusim::Schedule s) {
+/// One schedule's worth of device algorithm runs on the NVIDIA rail,
+/// streamed as text. Any pool-size dependence shows up as a byte diff.
+void fingerprint_schedule(std::ostream& os, ThreadPool& pool, Schedule s) {
   pstlx::schedule_guard guard(s);
   const auto pol = mcmm::stdparx::par_gpu(Vendor::NVIDIA, Runtime::NVHPC);
+  EXPECT_EQ(&pol.queue().pool(), &pool);
 
   const std::vector<int> in =
       mtest::make_data<int>(mtest::Shape::Random, kN, 0xf1bceed5ull);
@@ -62,8 +63,11 @@ void fingerprint_schedule(std::ostream& os, mcmm::gpusim::Schedule s) {
                merged.begin());
   pstlx::inclusive_scan(pol, b.begin(), b.end(), scanned.begin());
   const long sum = pstlx::reduce(pol, a.begin(), a.end(), 0L);
-  const long dot =
-      pstlx::transform_reduce(pol, a.begin(), a.end(), b.begin(), 0L);
+  // Squares widened to long first: an int product of two inputs of this
+  // range overflows.
+  const long sum_sq = pstlx::transform_reduce(
+      pol, a.begin(), a.end(), 0L,
+      [](int x) { return static_cast<long>(x) * x; });
   pol.queue().synchronize();
 
   std::vector<int> sorted(kN), merged_h(2 * kN);
@@ -72,101 +76,25 @@ void fingerprint_schedule(std::ostream& os, mcmm::gpusim::Schedule s) {
   merged.download(merged_h.data(), 2 * kN);
   scanned.download(scanned_h.data(), kN);
 
-  os << "schedule " << (s == mcmm::gpusim::Schedule::Static ? "static"
-                                                            : "dynamic")
+  os << "schedule " << (s == Schedule::Static ? "static" : "dynamic")
      << '\n';
   dump(os, "sorted", sorted);
   dump(os, "merged", merged_h);
   dump(os, "scanned", scanned_h);
-  os << "sum: " << sum << "\ndot: " << dot
+  os << "sum: " << sum << "\nsum_sq: " << sum_sq
      << "\nsim_us: " << pol.queue().simulated_time_us() << '\n';
-
-  // Host fallback over the thread pool: same invariants, no queue.
-  const pstlx::host_policy host{.schedule = s, .serial_cutoff = 64};
-  std::vector<int> hsorted = in;
-  std::vector<long> hscanned(kN);
-  pstlx::sort(host, hsorted.begin(), hsorted.end());
-  pstlx::inclusive_scan(host, hsorted.begin(), hsorted.end(),
-                        hscanned.begin());
-  const long hsum = pstlx::reduce(host, in.begin(), in.end(), 0L);
-  dump(os, "host_sorted", hsorted);
-  dump(os, "host_scanned", hscanned);
-  os << "host_sum: " << hsum << '\n';
 }
 
-int emit_fingerprint() {
-  std::ostringstream os;
-  fingerprint_schedule(os, mcmm::gpusim::Schedule::Static);
-  fingerprint_schedule(os, mcmm::gpusim::Schedule::Dynamic);
-  const std::string text = os.str();
-  std::fputs(text.c_str(), stdout);
-  return text.empty() ? 1 : 0;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// This binary's path, resolved in-process (inside std::system's shell,
-/// /proc/self/exe would name the shell).
-std::string self_exe() {
-  char buffer[4096];
-  const ssize_t len =
-      ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (len <= 0) return {};
-  buffer[len] = '\0';
-  return buffer;
-}
-
-/// Re-executes this binary with MCMM_NUM_THREADS pinned and returns the
-/// child's fingerprint bytes.
-std::string fingerprint_with_threads(unsigned threads,
-                                     const std::string& tag) {
-  const std::string exe = self_exe();
-  if (exe.empty()) {
-    ADD_FAILURE() << "cannot resolve /proc/self/exe";
-    return {};
+TEST(PstlxDeterminism, FingerprintMatchesTheDigestOnEveryPoolSize) {
+  for (const unsigned workers : mtest::determinism_worker_counts()) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    ThreadPool pool(workers);
+    const mtest::RailsOnPool rails(pool);
+    std::ostringstream os;
+    fingerprint_schedule(os, pool, Schedule::Static);
+    fingerprint_schedule(os, pool, Schedule::Dynamic);
+    EXPECT_EQ(mtest::fnv1a(os.str()), kFingerprintDigest);
   }
-  const std::string out_path = "pstlx_determinism_" + tag + ".txt";
-  const std::string cmd = "MCMM_NUM_THREADS=" + std::to_string(threads) +
-                          " '" + exe + "' --emit-fingerprint > '" +
-                          out_path + "' 2>/dev/null";
-  const int rc = std::system(cmd.c_str());
-  EXPECT_EQ(rc, 0) << "child re-exec failed for " << threads << " threads";
-  const std::string fp = read_file(out_path);
-  std::remove(out_path.c_str());
-  return fp;
-}
-
-TEST(PstlxDeterminism, FingerprintIdenticalAcrossWorkerCounts) {
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  const std::string f1 = fingerprint_with_threads(1, "t1");
-  const std::string f4 = fingerprint_with_threads(4, "t4");
-  const std::string fhw = fingerprint_with_threads(hw, "thw");
-  ASSERT_FALSE(f1.empty());
-  EXPECT_EQ(f1, f4) << "pstlx results depend on the worker count";
-  EXPECT_EQ(f1, fhw) << "pstlx results depend on the worker count";
-}
-
-TEST(PstlxDeterminism, BackToBackRunsInOneProcessMatch) {
-  std::ostringstream first, second;
-  fingerprint_schedule(first, mcmm::gpusim::Schedule::Dynamic);
-  fingerprint_schedule(second, mcmm::gpusim::Schedule::Dynamic);
-  ASSERT_FALSE(first.str().empty());
-  EXPECT_EQ(first.str(), second.str());
 }
 
 }  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--emit-fingerprint") == 0) {
-      return emit_fingerprint();
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -1,11 +1,11 @@
 // Differential battery (ctest label: differential): every pstlx
-// algorithm — device-executed and host fallback — checked against its
-// sequential std:: counterpart over seeded inputs in the sizes and
-// distribution shapes where blocked decompositions historically break:
-// 0, 1, non-power-of-two, and 2^20 elements; random, duplicate-heavy,
-// presorted, reverse-sorted, and all-equal values. Integer results must
-// match std:: exactly; the device reduce additionally matches
-// stdparx::reduce bit for bit on doubles (same 64-chunk decomposition).
+// algorithm checked against its sequential std:: counterpart over
+// seeded inputs in the sizes and distribution shapes where blocked
+// decompositions historically break: 0, 1, non-power-of-two, and 2^20
+// elements; random, duplicate-heavy, presorted, reverse-sorted, and
+// all-equal values. Integer results must match std:: exactly; the device
+// reduce additionally matches stdparx::reduce bit for bit on doubles
+// (same 64-chunk decomposition).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "models/stdparx/stdparx.hpp"
-#include "pstlx/host.hpp"
 #include "pstlx/pstlx.hpp"
 #include "support/rng.hpp"
 
@@ -245,111 +244,6 @@ TEST(PstlxDifferential, DeviceForEachAndTransformMatchStd) {
     std::transform(expected.begin(), expected.end(), expected2.begin(),
                    [](int x) { return x - 7; });
     ASSERT_EQ(got2, expected2);
-  }
-}
-
-// --- Host fallback ------------------------------------------------------
-
-TEST(PstlxHostDifferential, HostSortMatchesStdSort) {
-  const pstlx::host_policy pol;
-  for (const std::size_t n : kSizes) {
-    for (const Shape shape : kAllShapes) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " shape="
-                                        << testing::to_string(shape));
-      std::vector<int> got = make_data<int>(shape, n, kSeed ^ 11);
-      std::vector<int> expected = got;
-      pstlx::sort(pol, got.begin(), got.end());
-      std::sort(expected.begin(), expected.end());
-      ASSERT_EQ(got, expected);
-    }
-  }
-}
-
-TEST(PstlxHostDifferential, HostStableSortMatchesStdStableSort) {
-  const pstlx::host_policy pol;
-  for (const std::size_t n : kSizes) {
-    for (const Shape shape : kAllShapes) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " shape="
-                                        << testing::to_string(shape));
-      const std::vector<int> keys = make_data<int>(shape, n, kSeed ^ 12);
-      std::vector<long> got;
-      got.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        got.push_back(static_cast<long>(keys[i]) * 1048576 +
-                      static_cast<long>(i % 1048576));
-      }
-      std::vector<long> expected = got;
-      const auto by_key = [](long a, long b) {
-        return a / 1048576 < b / 1048576;
-      };
-      pstlx::stable_sort(pol, got.begin(), got.end(), by_key);
-      std::stable_sort(expected.begin(), expected.end(), by_key);
-      ASSERT_EQ(got, expected);
-    }
-  }
-}
-
-TEST(PstlxHostDifferential, HostMergeMatchesStdMerge) {
-  const pstlx::host_policy pol;
-  for (const std::size_t n : kSizes) {
-    for (const Shape shape : kAllShapes) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " shape="
-                                        << testing::to_string(shape));
-      std::vector<int> a = make_data<int>(shape, n, kSeed ^ 13);
-      std::vector<int> b = make_data<int>(shape, n / 3 + 1, kSeed ^ 14);
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      std::vector<int> got(a.size() + b.size());
-      std::vector<int> expected(a.size() + b.size());
-      pstlx::merge(pol, a.begin(), a.end(), b.begin(), b.end(),
-                   got.begin());
-      std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin());
-      ASSERT_EQ(got, expected);
-    }
-  }
-}
-
-TEST(PstlxHostDifferential, HostScansMatchStd) {
-  const pstlx::host_policy pol;
-  for (const std::size_t n : kSizes) {
-    for (const Shape shape : kAllShapes) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " shape="
-                                        << testing::to_string(shape));
-      const std::vector<long> input = make_data<long>(shape, n, kSeed ^ 15);
-      std::vector<long> got(n);
-      std::vector<long> expected(n);
-      pstlx::inclusive_scan(pol, input.begin(), input.end(), got.begin());
-      std::inclusive_scan(input.begin(), input.end(), expected.begin());
-      ASSERT_EQ(got, expected);
-      pstlx::exclusive_scan(pol, input.begin(), input.end(), got.begin(),
-                            -3L);
-      std::exclusive_scan(input.begin(), input.end(), expected.begin(),
-                          -3L);
-      ASSERT_EQ(got, expected);
-    }
-  }
-}
-
-TEST(PstlxHostDifferential, HostReductionsMatchStd) {
-  const pstlx::host_policy pol;
-  for (const std::size_t n : kSizes) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    const std::vector<int> input = make_data<int>(Shape::Random, n, kSeed);
-    ASSERT_EQ(pstlx::reduce(pol, input.begin(), input.end(), 2L),
-              std::reduce(input.begin(), input.end(), 2L));
-    ASSERT_EQ(pstlx::transform_reduce(
-                  pol, input.begin(), input.end(), 0L,
-                  [](int x) { return static_cast<long>(x) * x; }),
-              std::transform_reduce(
-                  input.begin(), input.end(), 0L, std::plus<>{},
-                  [](int x) { return static_cast<long>(x) * x; }));
-
-    std::vector<int> got = input;
-    std::vector<int> expected = input;
-    pstlx::for_each(pol, got.begin(), got.end(), [](int& x) { x ^= 0x55; });
-    std::for_each(expected.begin(), expected.end(),
-                  [](int& x) { x ^= 0x55; });
-    ASSERT_EQ(got, expected);
   }
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "models/stdparx/stdparx.hpp"
-#include "pstlx/host.hpp"
 #include "pstlx/pstlx.hpp"
 #include "support/rng.hpp"
 
@@ -254,36 +253,6 @@ TEST(PstlxProperties, TierTableMatchesFigureOneStandardColumn) {
             "opt-in-experimental");
   EXPECT_EQ(pstlx::to_string(SupportTier::Experimental), "experimental");
   EXPECT_EQ(pstlx::to_string(SupportTier::Unsupported), "unsupported");
-}
-
-/// Host fallback honours the same invariants (spot check: scan duality
-/// and merge stability through the ThreadPool path, above the serial
-/// cutoff so the blocked code actually runs).
-TEST(PstlxProperties, HostPathScanDualityAndStability) {
-  const pstlx::host_policy pol{.serial_cutoff = 64};
-  const std::size_t n = 40961;
-  const std::vector<long> in = make_data<long>(Shape::Random, n, kSeed ^ 8);
-  std::vector<long> inc(n), exc(n);
-  pstlx::inclusive_scan(pol, in.begin(), in.end(), inc.begin());
-  pstlx::exclusive_scan(pol, in.begin(), in.end(), exc.begin(), 0L);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(inc[i], exc[i] + in[i]) << "at i=" << i;
-  }
-
-  const auto by_key = [](const Keyed& x, const Keyed& y) {
-    return x.key < y.key;
-  };
-  std::vector<Keyed> data;
-  testing::rng r(kSeed ^ 9);
-  for (std::size_t i = 0; i < n; ++i) {
-    data.push_back({static_cast<int>(r.below(4)), static_cast<int>(i)});
-  }
-  std::vector<Keyed> expected = data;
-  pstlx::stable_sort(pol, data.begin(), data.end(), by_key);
-  std::stable_sort(expected.begin(), expected.end(), by_key);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(data[i], expected[i]) << "at i=" << i;
-  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/planner.hpp"
 #include "serve/http.hpp"
 #include "serve/json.hpp"
+#include "support/fnv1a.hpp"
 
 namespace mcmm::testing {
 
@@ -104,16 +105,6 @@ inline serve::Request post_plan(std::string_view body) {
   EXPECT_EQ(parser.feed(plan_wire(body)),
             serve::RequestParser::Status::Complete);
   return parser.take_request();
-}
-
-/// FNV-1a 64 over `bytes`, continuing from `hash`.
-inline std::uint64_t fnv1a(std::string_view bytes,
-                           std::uint64_t hash = 1469598103934665603ULL) {
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 }  // namespace mcmm::testing
