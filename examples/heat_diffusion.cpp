@@ -82,6 +82,9 @@ std::vector<double> run_sycl(double& sim_us) {
   double* t_new = q.malloc_device<double>(kNx * kNy);
   const std::vector<double> init = initial_grid();
   q.memcpy(t_old, init.data(), init.size() * sizeof(double));
+  // The stencil never writes the borders of t_new, and the swap copies
+  // all of it over t_old: its borders must hold the initial grid too.
+  q.memcpy(t_new, init.data(), init.size() * sizeof(double));
 
   const double t0 = q.simulated_time_us();
   for (int step = 0; step < kSteps; ++step) {

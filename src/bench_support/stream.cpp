@@ -1,5 +1,6 @@
 #include "bench_support/stream.hpp"
 
+#include "bench_support/stream_kernels.hpp"
 #include "gpusim/profiler.hpp"
 
 #include <algorithm>
@@ -30,53 +31,103 @@ std::string_view to_string(StreamKernel k) noexcept {
   return "?";
 }
 
-double stream_bytes(StreamKernel k, std::size_t n) noexcept {
+gpusim::KernelCosts costs_for(StreamKernel k, std::size_t n) noexcept {
   const double nd = static_cast<double>(n) * sizeof(double);
+  const double flops = static_cast<double>(n);
+  gpusim::KernelCosts c;
   switch (k) {
     case StreamKernel::Copy:
+      c = {nd, nd, 0};
+      break;
     case StreamKernel::Mul:
-      return 2.0 * nd;  // one read + one write stream
+      c = {nd, nd, flops};
+      break;
     case StreamKernel::Add:
+      c = {2 * nd, nd, flops};
+      break;
     case StreamKernel::Triad:
-      return 3.0 * nd;  // two reads + one write
+      c = {2 * nd, nd, 2 * flops};
+      break;
     case StreamKernel::Dot:
-      return 2.0 * nd;  // two reads
+      c = {2 * nd, 0, 2 * flops};
+      break;
     case StreamKernel::Reduce:
-      return nd;  // one read stream (a twice, but a single load per item)
-    case StreamKernel::Uneven:
+      // One read stream (a twice, but a single load per item).
+      c = {nd, 0, 2 * flops};
+      break;
+    case StreamKernel::Uneven: {
       // Ragged reads (avg (kUnevenTile+1)/2 per item) + one write stream.
-      return (static_cast<double>(uneven_span_total(n)) +
-              static_cast<double>(n)) *
-             sizeof(double);
+      const double span = static_cast<double>(uneven_span_total(n));
+      c = {span * sizeof(double), nd, span};
+      break;
+    }
   }
-  return 0.0;
+  return c;
 }
+
+double stream_bytes(StreamKernel k, std::size_t n) noexcept {
+  return costs_for(k, n).total_bytes();
+}
+
+StreamScalars stream_scalars(int reps) noexcept {
+  StreamScalars v{kInitA, kInitB, kInitC};
+  for (int r = 0; r < reps; ++r) {
+    v.c = v.a;                    // copy
+    v.b = kScalar * v.c;          // mul
+    v.c = v.a + v.b;              // add
+    v.a = v.b + kScalar * v.c;    // triad
+  }
+  return v;
+}
+
+namespace {
+
+[[nodiscard]] bool close(double x, double y, double tol) {
+  const double scale = std::max({std::fabs(x), std::fabs(y), 1e-30});
+  return std::fabs(x - y) / scale < tol;
+}
+
+}  // namespace
 
 bool verify_stream(const std::vector<double>& a, const std::vector<double>& b,
                    const std::vector<double>& c, double dot, std::size_t n,
                    int reps) {
-  // Replay the cycle on scalars (all elements evolve identically).
-  double va = kInitA, vb = kInitB, vc = kInitC;
-  for (int r = 0; r < reps; ++r) {
-    vc = va;
-    vb = kScalar * vc;
-    vc = va + vb;
-    va = vb + kScalar * vc;
-  }
-  const double expected_dot = va * vb * static_cast<double>(n);
-
-  const auto close = [](double x, double y) {
-    const double scale = std::max({std::fabs(x), std::fabs(y), 1e-30});
-    return std::fabs(x - y) / scale < 1e-8;
-  };
+  const StreamScalars v = stream_scalars(reps);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!close(a[i], va) || !close(b[i], vb) || !close(c[i], vc)) {
+    if (!close(a[i], v.a, 1e-8) || !close(b[i], v.b, 1e-8) ||
+        !close(c[i], v.c, 1e-8)) {
       return false;
     }
   }
   // Dot accumulates n terms; allow a looser relative tolerance.
+  const double expected_dot = v.a * v.b * static_cast<double>(n);
   const double scale = std::max(std::fabs(expected_dot), 1e-30);
   return std::fabs(dot - expected_dot) / scale < 1e-6;
+}
+
+bool verify_suite(const std::vector<double>& a, const std::vector<double>& b,
+                  const std::vector<double>& c,
+                  const std::vector<double>& totals, std::size_t n,
+                  int reps) {
+  // Uneven clobbers c with tile prefix sums of the post-triad a; the next
+  // repetition's copy rewrites c before mul reads it, so the classic a/b
+  // recurrence is untouched.
+  const StreamScalars v = stream_scalars(reps);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double span = static_cast<double>(i % kUnevenTile + 1);
+    if (!close(a[i], v.a, 1e-8) || !close(b[i], v.b, 1e-8) ||
+        !close(c[i], span * v.a, 1e-8)) {
+      return false;
+    }
+  }
+  const double nd = static_cast<double>(n);
+  for (std::size_t t = 0; t + 1 < totals.size(); t += 2) {
+    if (!close(totals[t], v.a * v.b * nd, 1e-6) ||
+        !close(totals[t + 1], v.a * v.a * nd, 1e-6)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<StreamResult> run_stream(StreamBenchmark& bench, std::size_t n,

@@ -1,8 +1,10 @@
 #pragma once
 // BabelStream-style benchmark suite (Deakin et al. [53], the performance
-// methodology the paper names as its natural extension, Sec. 5/6). The
-// five kernels — Copy, Mul, Add, Triad, Dot — are implemented once per
-// programming-model embedding; the harness runs them on the simulated
+// methodology the paper names as its natural extension, Sec. 5/6). Seven
+// kernels — Copy, Mul, Add, Triad, Dot, plus Reduce and Uneven — whose
+// bodies and declared costs are defined once (stream_kernels.hpp); each
+// programming-model adapter holds only its model's API idiom (alloc,
+// launch, reduce, copy-back). The harness runs them on the simulated
 // devices and reports attainable bandwidth per (model route, vendor).
 
 #include <memory>
@@ -97,12 +99,29 @@ struct StreamResult {
 [[nodiscard]] std::vector<StreamResult> run_stream(StreamBenchmark& bench,
                                                    std::size_t n, int reps);
 
+/// The value every element of a, b and c holds after `reps` cycles of
+/// Copy, Mul, Add and Triad (all elements evolve identically): the one
+/// scalar replay of the cycle every verifier checks against.
+struct StreamScalars {
+  double a, b, c;
+};
+[[nodiscard]] StreamScalars stream_scalars(int reps) noexcept;
+
 /// Verifies arrays after `reps` iterations of the BabelStream cycle plus a
 /// final dot; returns true when within tolerance.
 [[nodiscard]] bool verify_stream(const std::vector<double>& a,
                                  const std::vector<double>& b,
                                  const std::vector<double>& c, double dot,
                                  std::size_t n, int reps);
+
+/// Verifies arrays after `reps` iterations of the seven-kernel cycle
+/// (Uneven last, so c holds tile prefix sums of a), and every (Dot,
+/// Reduce) pair in `totals`, each over n elements.
+[[nodiscard]] bool verify_suite(const std::vector<double>& a,
+                                const std::vector<double>& b,
+                                const std::vector<double>& c,
+                                const std::vector<double>& totals,
+                                std::size_t n, int reps);
 
 /// Factory: every model route of Fig. 1's C++ row that can execute on
 /// `vendor` (the executable cross-section of the compatibility table).

@@ -1,12 +1,18 @@
-// BabelStream kernels implemented once per programming-model embedding —
-// the "representative selection of micro-benchmarks ported to the models"
-// the paper says a fair performance comparison would require (Sec. 5).
+// BabelStream on every programming-model embedding — the "representative
+// selection of micro-benchmarks ported to the models" the paper says a
+// fair performance comparison would require (Sec. 5). The kernel bodies
+// live once in stream_kernels.hpp; ModelStream runs them through each
+// model's API idiom (alloc, launch, reduce, copy-back), which is all an
+// adapter below holds. stdpar keeps its iterator algorithms.
 
 #include <array>
-#include <cstring>
+#include <functional>
 #include <numeric>
+#include <optional>
+#include <utility>
 
 #include "bench_support/stream.hpp"
+#include "bench_support/stream_kernels.hpp"
 #include "models/accx/accx.hpp"
 #include "models/alpakax/alpakax.hpp"
 #include "models/cudax/cudax.hpp"
@@ -20,382 +26,221 @@
 namespace mcmm::bench {
 namespace {
 
-using gpusim::KernelCosts;
+using Out = std::array<double*, 3>;  ///< one pointer per array: a, b, c
 
-[[nodiscard]] KernelCosts costs_for(StreamKernel k, std::size_t n) {
-  const double nd = static_cast<double>(n) * sizeof(double);
-  KernelCosts c;
-  switch (k) {
-    case StreamKernel::Copy:
-      c.bytes_read = nd;
-      c.bytes_written = nd;
-      break;
-    case StreamKernel::Mul:
-      c.bytes_read = nd;
-      c.bytes_written = nd;
-      c.flops = static_cast<double>(n);
-      break;
-    case StreamKernel::Add:
-      c.bytes_read = 2 * nd;
-      c.bytes_written = nd;
-      c.flops = static_cast<double>(n);
-      break;
-    case StreamKernel::Triad:
-      c.bytes_read = 2 * nd;
-      c.bytes_written = nd;
-      c.flops = 2.0 * static_cast<double>(n);
-      break;
-    case StreamKernel::Dot:
-      c.bytes_read = 2 * nd;
-      c.flops = 2.0 * static_cast<double>(n);
-      break;
-    case StreamKernel::Reduce:
-      c.bytes_read = nd;
-      c.flops = 2.0 * static_cast<double>(n);
-      break;
-    case StreamKernel::Uneven: {
-      const double span = static_cast<double>(uneven_span_total(n));
-      c.bytes_read = span * sizeof(double);
-      c.bytes_written = nd;
-      c.flops = span;
-      break;
-    }
-  }
-  return c;
-}
-
-/// Shared Uneven body: tile-local ragged prefix sum into c[i].
-template <typename T>
-inline void uneven_at(const T* a, T* c, std::size_t i) {
-  const std::size_t start = i - (i % kUnevenTile);
-  T acc{};
-  for (std::size_t j = start; j <= i; ++j) acc += a[j];
-  c[i] = acc;
-}
-
-// ---------------------------------------------------------------- cudax --
-
-class CudaxStream final : public StreamBenchmark {
+/// The seven StreamBenchmark kernels over one model's API idiom. `Api`
+/// provides label(), vendor(), alloc(n), arrays(), for_each(kind, n, body)
+/// (one launch of body(i) over [0, n)), sum(kind, n, term) (the model's
+/// reduction of term(i) over [0, n)), read(out, n), simulated_time_us(),
+/// and a public `policy` member if it has a schedule knob.
+template <typename Api>
+class ModelStream final : public StreamBenchmark {
  public:
-  [[nodiscard]] std::string label() const override { return "CUDA"; }
-  [[nodiscard]] Vendor vendor() const override { return Vendor::NVIDIA; }
+  template <typename... Args>
+  explicit ModelStream(Args... args) : api_(args...) {}
+  ModelStream(const ModelStream&) = delete;  // the Api owns device memory
+  ModelStream& operator=(const ModelStream&) = delete;
+
+  [[nodiscard]] std::string label() const override { return api_.label(); }
+  [[nodiscard]] Vendor vendor() const override { return api_.vendor(); }
 
   void alloc(std::size_t n) override {
     n_ = n;
-    check(cudax::cudaMalloc(reinterpret_cast<void**>(&a_),
-                            n * sizeof(double)));
-    check(cudax::cudaMalloc(reinterpret_cast<void**>(&b_),
-                            n * sizeof(double)));
-    check(cudax::cudaMalloc(reinterpret_cast<void**>(&c_),
-                            n * sizeof(double)));
-    check(cudax::cudaMalloc(reinterpret_cast<void**>(&partials_),
-                            kChunks * sizeof(double)));
+    api_.alloc(n);
   }
-
-  ~CudaxStream() override {
-    (void)cudax::cudaFree(a_);
-    (void)cudax::cudaFree(b_);
-    (void)cudax::cudaFree(c_);
-    (void)cudax::cudaFree(partials_);
-  }
-
-  void init_arrays() override {
-    launch(StreamKernel::Copy, [a = a_, b = b_, c = c_,
-                                n = n_](const cudax::KernelCtx& ctx) {
-      const std::size_t i = ctx.global_x();
-      if (i < n) {
-        a[i] = kInitA;
-        b[i] = kInitB;
-        c[i] = kInitC;
-      }
-    });
-  }
-
-  void copy() override {
-    launch(StreamKernel::Copy,
-           [a = a_, c = c_, n = n_](const cudax::KernelCtx& ctx) {
-             const std::size_t i = ctx.global_x();
-             if (i < n) c[i] = a[i];
-           });
-  }
-  void mul() override {
-    launch(StreamKernel::Mul,
-           [b = b_, c = c_, n = n_](const cudax::KernelCtx& ctx) {
-             const std::size_t i = ctx.global_x();
-             if (i < n) b[i] = kScalar * c[i];
-           });
-  }
-  void add() override {
-    launch(StreamKernel::Add,
-           [a = a_, b = b_, c = c_, n = n_](const cudax::KernelCtx& ctx) {
-             const std::size_t i = ctx.global_x();
-             if (i < n) c[i] = a[i] + b[i];
-           });
-  }
-  void triad() override {
-    launch(StreamKernel::Triad,
-           [a = a_, b = b_, c = c_, n = n_](const cudax::KernelCtx& ctx) {
-             const std::size_t i = ctx.global_x();
-             if (i < n) a[i] = b[i] + kScalar * c[i];
-           });
-  }
-
+  void init_arrays() override { each<&Arrays::init>(StreamKernel::Copy); }
+  void copy() override { each<&Arrays::copy>(StreamKernel::Copy); }
+  void mul() override { each<&Arrays::mul>(StreamKernel::Mul); }
+  void add() override { each<&Arrays::add>(StreamKernel::Add); }
+  void triad() override { each<&Arrays::triad>(StreamKernel::Triad); }
   [[nodiscard]] double dot() override {
-    // CUDA-idiomatic two-phase reduction: per-block partials, host finish.
-    const std::size_t chunk = (n_ + kChunks - 1) / kChunks;
-    const cudax::dim3 grid{kChunks, 1, 1};
-    const cudax::dim3 block{1, 1, 1};
-    check(cudax::cudaLaunch(
-        grid, block, costs_for(StreamKernel::Dot, n_),
-        static_cast<cudax::cudaStream_t>(nullptr),
-        [a = a_, b = b_, p = partials_, n = n_,
-         chunk](const cudax::KernelCtx& ctx) {
-          const std::size_t cidx = ctx.global_x();
-          if (cidx >= kChunks) return;
-          const std::size_t begin = cidx * chunk;
-          const std::size_t end = std::min(n, begin + chunk);
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += a[i] * b[i];
-          p[cidx] = acc;
-        }));
-    std::array<double, kChunks> host{};
-    check(cudax::cudaMemcpy(host.data(), partials_,
-                            kChunks * sizeof(double),
-                            cudax::cudaMemcpyDeviceToHost));
-    return std::accumulate(host.begin(), host.end(), 0.0);
+    return sum<&Arrays::dot_term>(StreamKernel::Dot);
   }
-
   [[nodiscard]] double reduce() override {
-    const std::size_t chunk = (n_ + kChunks - 1) / kChunks;
-    const cudax::dim3 grid{kChunks, 1, 1};
-    const cudax::dim3 block{1, 1, 1};
-    check(cudax::cudaLaunch(
-        grid, block, costs_for(StreamKernel::Reduce, n_),
-        static_cast<cudax::cudaStream_t>(nullptr),
-        [a = a_, p = partials_, n = n_,
-         chunk](const cudax::KernelCtx& ctx) {
-          const std::size_t cidx = ctx.global_x();
-          if (cidx >= kChunks) return;
-          const std::size_t begin = cidx * chunk;
-          const std::size_t end = std::min(n, begin + chunk);
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += a[i] * a[i];
-          p[cidx] = acc;
-        }));
-    std::array<double, kChunks> host{};
-    check(cudax::cudaMemcpy(host.data(), partials_,
-                            kChunks * sizeof(double),
-                            cudax::cudaMemcpyDeviceToHost));
-    return std::accumulate(host.begin(), host.end(), 0.0);
+    return sum<&Arrays::reduce_term>(StreamKernel::Reduce);
   }
+  void uneven() override { each<&Arrays::uneven>(StreamKernel::Uneven); }
 
-  void uneven() override {
-    launch(StreamKernel::Uneven,
-           [a = a_, c = c_, n = n_](const cudax::KernelCtx& ctx) {
-             const std::size_t i = ctx.global_x();
-             if (i < n) uneven_at(a, c, i);
-           });
+  void set_schedule(gpusim::Schedule schedule) override {
+    if constexpr (requires { api_.policy; }) {
+      api_.policy = gpusim::LaunchPolicy{schedule, 0};
+    }
   }
 
   void read_arrays(std::vector<double>& a, std::vector<double>& b,
                    std::vector<double>& c) override {
-    a.resize(n_);
-    b.resize(n_);
-    c.resize(n_);
-    check(cudax::cudaMemcpy(a.data(), a_, n_ * sizeof(double),
-                            cudax::cudaMemcpyDeviceToHost));
-    check(cudax::cudaMemcpy(b.data(), b_, n_ * sizeof(double),
-                            cudax::cudaMemcpyDeviceToHost));
-    check(cudax::cudaMemcpy(c.data(), c_, n_ * sizeof(double),
-                            cudax::cudaMemcpyDeviceToHost));
+    for (std::vector<double>* v : {&a, &b, &c}) v->resize(n_);
+    api_.read(Out{a.data(), b.data(), c.data()}, n_);
   }
 
   [[nodiscard]] double simulated_time_us() const override {
+    return api_.simulated_time_us();
+  }
+
+ private:
+  using Arrays = decltype(std::declval<const Api&>().arrays());
+
+  template <void (Arrays::*Body)(std::size_t) const>
+  void each(StreamKernel kind) {
+    api_.for_each(kind, n_,
+                  [s = api_.arrays()](std::size_t i) { (s.*Body)(i); });
+  }
+  template <double (Arrays::*Term)(std::size_t) const>
+  [[nodiscard]] double sum(StreamKernel kind) {
+    return api_.sum(kind, n_, [s = api_.arrays()](std::size_t i) {
+      return (s.*Term)(i);
+    });
+  }
+
+  Api api_;
+  std::size_t n_{};
+};
+
+/// The device pointers of a, b and c, for the APIs that hand out raw
+/// device memory.
+struct DevicePtrs {
+  [[nodiscard]] StreamArrays<double*> arrays() const {
+    return {p[0], p[1], p[2]};
+  }
+  Out p{};
+};
+
+// ---------------------------------------------------------------- cudax --
+
+class CudaApi : public DevicePtrs {
+ public:
+  [[nodiscard]] std::string label() const { return "CUDA"; }
+  [[nodiscard]] Vendor vendor() const { return Vendor::NVIDIA; }
+
+  void alloc(std::size_t n) {
+    for (double*& d : p) {
+      check(cudax::cudaMalloc(reinterpret_cast<void**>(&d),
+                              n * sizeof(double)));
+    }
+    check(cudax::cudaMalloc(reinterpret_cast<void**>(&partials_),
+                            kChunks * sizeof(double)));
+  }
+  ~CudaApi() {
+    for (double* d : {p[0], p[1], p[2], partials_}) (void)cudax::cudaFree(d);
+  }
+
+  template <typename Body>
+  void for_each(StreamKernel kind, std::size_t n, const Body& body) {
+    launch({static_cast<std::uint32_t>((n + 255) / 256), 1, 1}, {256, 1, 1},
+           kind, n, [body, n](const cudax::KernelCtx& ctx) {
+             const std::size_t i = ctx.global_x();
+             if (i < n) body(i);
+           });
+  }
+  /// CUDA-idiomatic two-phase reduction: per-block partials, host finish.
+  template <typename Term>
+  double sum(StreamKernel kind, std::size_t n, const Term& term) {
+    launch({kChunks, 1, 1}, {1, 1, 1}, kind, n,
+           [term, d = partials_, n](const cudax::KernelCtx& ctx) {
+             chunk_partial(ctx.global_x(), n, d, term);
+           });
+    std::array<double, kChunks> host{};
+    check(cudax::cudaMemcpy(host.data(), partials_, kChunks * sizeof(double),
+                            cudax::cudaMemcpyDeviceToHost));
+    return std::accumulate(host.begin(), host.end(), 0.0);
+  }
+
+  void read(const Out& out, std::size_t n) {
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      check(cudax::cudaMemcpy(out[k], p[k], n * sizeof(double),
+                              cudax::cudaMemcpyDeviceToHost));
+    }
+  }
+  [[nodiscard]] double simulated_time_us() const {
     return cudax::queue_of(nullptr).simulated_time_us();
   }
 
  private:
-  static constexpr std::uint32_t kChunks = 64;
-
   static void check(cudax::cudaError_t err) {
     if (err != cudax::cudaError_t::cudaSuccess) {
       throw gpusim::SimError(std::string("CUDA stream benchmark: ") +
                              cudax::cudaGetErrorString(err));
     }
   }
-
   template <typename K>
-  void launch(StreamKernel kind, K&& kernel) {
-    const cudax::dim3 block{256, 1, 1};
-    const cudax::dim3 grid{
-        static_cast<std::uint32_t>((n_ + 255) / 256), 1, 1};
-    check(cudax::cudaLaunch(grid, block, costs_for(kind, n_),
+  static void launch(cudax::dim3 grid, cudax::dim3 block, StreamKernel kind,
+                     std::size_t n, const K& kernel) {
+    check(cudax::cudaLaunch(grid, block, costs_for(kind, n),
                             static_cast<cudax::cudaStream_t>(nullptr),
-                            std::forward<K>(kernel)));
+                            kernel));
   }
 
-  std::size_t n_{};
-  double* a_{};
-  double* b_{};
-  double* c_{};
   double* partials_{};
 };
 
 // ----------------------------------------------------------------- hipx --
 
-class HipxStream final : public StreamBenchmark {
+class HipApi : public DevicePtrs {
  public:
-  explicit HipxStream(hipx::Platform platform) : platform_(platform) {}
+  explicit HipApi(hipx::Platform platform) : platform_(platform) {}
 
-  [[nodiscard]] std::string label() const override {
+  [[nodiscard]] std::string label() const {
     return platform_ == hipx::Platform::amd ? "HIP" : "HIP(CUDA backend)";
   }
-  [[nodiscard]] Vendor vendor() const override {
+  [[nodiscard]] Vendor vendor() const {
     return platform_ == hipx::Platform::amd ? Vendor::AMD : Vendor::NVIDIA;
   }
 
-  void alloc(std::size_t n) override {
+  void alloc(std::size_t n) {
     const PlatformScope scope(platform_);
-    n_ = n;
-    check(hipx::hipMalloc(reinterpret_cast<void**>(&a_),
-                          n * sizeof(double)));
-    check(hipx::hipMalloc(reinterpret_cast<void**>(&b_),
-                          n * sizeof(double)));
-    check(hipx::hipMalloc(reinterpret_cast<void**>(&c_),
-                          n * sizeof(double)));
+    for (double*& d : p) {
+      check(hipx::hipMalloc(reinterpret_cast<void**>(&d),
+                            n * sizeof(double)));
+    }
     check(hipx::hipMalloc(reinterpret_cast<void**>(&partials_),
                           kChunks * sizeof(double)));
     check(hipx::hipStreamCreate(&stream_));
   }
-
-  ~HipxStream() override {
+  ~HipApi() {
     const PlatformScope scope(platform_);
-    (void)hipx::hipFree(a_);
-    (void)hipx::hipFree(b_);
-    (void)hipx::hipFree(c_);
-    (void)hipx::hipFree(partials_);
+    for (double* d : {p[0], p[1], p[2], partials_}) (void)hipx::hipFree(d);
     if (stream_ != nullptr) (void)hipx::hipStreamDestroy(stream_);
   }
 
-  void init_arrays() override {
-    run(StreamKernel::Copy, [a = a_, b = b_, c = c_,
-                             n = n_](const hipx::KernelCtx& ctx) {
-      const std::size_t i = ctx.global_x();
-      if (i < n) {
-        a[i] = kInitA;
-        b[i] = kInitB;
-        c[i] = kInitC;
-      }
-    });
+  template <typename Body>
+  void for_each(StreamKernel kind, std::size_t n, const Body& body) {
+    launch({static_cast<std::uint32_t>((n + 255) / 256), 1, 1}, {256, 1, 1},
+           kind, n, [body, n](const hipx::KernelCtx& ctx) {
+             const std::size_t i = ctx.global_x();
+             if (i < n) body(i);
+           });
   }
-
-  void copy() override {
-    run(StreamKernel::Copy,
-        [a = a_, c = c_, n = n_](const hipx::KernelCtx& ctx) {
-          const std::size_t i = ctx.global_x();
-          if (i < n) c[i] = a[i];
-        });
-  }
-  void mul() override {
-    run(StreamKernel::Mul,
-        [b = b_, c = c_, n = n_](const hipx::KernelCtx& ctx) {
-          const std::size_t i = ctx.global_x();
-          if (i < n) b[i] = kScalar * c[i];
-        });
-  }
-  void add() override {
-    run(StreamKernel::Add,
-        [a = a_, b = b_, c = c_, n = n_](const hipx::KernelCtx& ctx) {
-          const std::size_t i = ctx.global_x();
-          if (i < n) c[i] = a[i] + b[i];
-        });
-  }
-  void triad() override {
-    run(StreamKernel::Triad,
-        [a = a_, b = b_, c = c_, n = n_](const hipx::KernelCtx& ctx) {
-          const std::size_t i = ctx.global_x();
-          if (i < n) a[i] = b[i] + kScalar * c[i];
-        });
-  }
-
-  [[nodiscard]] double dot() override {
+  template <typename Term>
+  double sum(StreamKernel kind, std::size_t n, const Term& term) {
     const PlatformScope scope(platform_);
-    const std::size_t chunk = (n_ + kChunks - 1) / kChunks;
-    check(hipx::hipLaunchKernelGGL(
-        [a = a_, b = b_, p = partials_, n = n_,
-         chunk](const hipx::KernelCtx& ctx) {
-          const std::size_t cidx = ctx.global_x();
-          if (cidx >= kChunks) return;
-          const std::size_t begin = cidx * chunk;
-          const std::size_t end = std::min(n, begin + chunk);
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += a[i] * b[i];
-          p[cidx] = acc;
-        },
-        hipx::dim3{kChunks, 1, 1}, hipx::dim3{1, 1, 1},
-        costs_for(StreamKernel::Dot, n_), stream_));
+    launch({kChunks, 1, 1}, {1, 1, 1}, kind, n,
+           [term, d = partials_, n](const hipx::KernelCtx& ctx) {
+             chunk_partial(ctx.global_x(), n, d, term);
+           });
     std::array<double, kChunks> host{};
     check(hipx::hipMemcpy(host.data(), partials_, kChunks * sizeof(double),
                           hipx::hipMemcpyDeviceToHost));
     return std::accumulate(host.begin(), host.end(), 0.0);
   }
 
-  [[nodiscard]] double reduce() override {
+  void read(const Out& out, std::size_t n) {
     const PlatformScope scope(platform_);
-    const std::size_t chunk = (n_ + kChunks - 1) / kChunks;
-    check(hipx::hipLaunchKernelGGL(
-        [a = a_, p = partials_, n = n_,
-         chunk](const hipx::KernelCtx& ctx) {
-          const std::size_t cidx = ctx.global_x();
-          if (cidx >= kChunks) return;
-          const std::size_t begin = cidx * chunk;
-          const std::size_t end = std::min(n, begin + chunk);
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += a[i] * a[i];
-          p[cidx] = acc;
-        },
-        hipx::dim3{kChunks, 1, 1}, hipx::dim3{1, 1, 1},
-        costs_for(StreamKernel::Reduce, n_), stream_));
-    std::array<double, kChunks> host{};
-    check(hipx::hipMemcpy(host.data(), partials_, kChunks * sizeof(double),
-                          hipx::hipMemcpyDeviceToHost));
-    return std::accumulate(host.begin(), host.end(), 0.0);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      check(hipx::hipMemcpy(out[k], p[k], n * sizeof(double),
+                            hipx::hipMemcpyDeviceToHost));
+    }
   }
-
-  void uneven() override {
-    run(StreamKernel::Uneven,
-        [a = a_, c = c_, n = n_](const hipx::KernelCtx& ctx) {
-          const std::size_t i = ctx.global_x();
-          if (i < n) uneven_at(a, c, i);
-        });
-  }
-
-  void read_arrays(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& c) override {
-    const PlatformScope scope(platform_);
-    a.resize(n_);
-    b.resize(n_);
-    c.resize(n_);
-    check(hipx::hipMemcpy(a.data(), a_, n_ * sizeof(double),
-                          hipx::hipMemcpyDeviceToHost));
-    check(hipx::hipMemcpy(b.data(), b_, n_ * sizeof(double),
-                          hipx::hipMemcpyDeviceToHost));
-    check(hipx::hipMemcpy(c.data(), c_, n_ * sizeof(double),
-                          hipx::hipMemcpyDeviceToHost));
-  }
-
-  [[nodiscard]] double simulated_time_us() const override {
+  [[nodiscard]] double simulated_time_us() const {
     return stream_->simulated_time_us();
   }
 
  private:
-  static constexpr std::uint32_t kChunks = 64;
-
   /// The HIP_PLATFORM switch is process-global; scope it per call.
   class PlatformScope {
    public:
-    explicit PlatformScope(hipx::Platform p) : saved_(hipx::platform()) {
-      hipx::set_platform(p);
+    explicit PlatformScope(hipx::Platform platform)
+        : saved_(hipx::platform()) {
+      hipx::set_platform(platform);
     }
     ~PlatformScope() { hipx::set_platform(saved_); }
 
@@ -409,333 +254,263 @@ class HipxStream final : public StreamBenchmark {
                              hipx::hipGetErrorString(err));
     }
   }
-
   template <typename K>
-  void run(StreamKernel kind, K&& kernel) {
+  void launch(hipx::dim3 grid, hipx::dim3 block, StreamKernel kind,
+              std::size_t n, const K& kernel) {
     const PlatformScope scope(platform_);
-    const hipx::dim3 block{256, 1, 1};
-    const hipx::dim3 grid{static_cast<std::uint32_t>((n_ + 255) / 256), 1,
-                          1};
-    check(hipx::hipLaunchKernelGGL(std::forward<K>(kernel), grid, block,
-                                   costs_for(kind, n_), stream_));
+    check(hipx::hipLaunchKernelGGL(kernel, grid, block, costs_for(kind, n),
+                                   stream_));
   }
 
   hipx::Platform platform_;
-  std::size_t n_{};
-  double* a_{};
-  double* b_{};
-  double* c_{};
   double* partials_{};
   hipx::hipStream_t stream_{};
 };
 
 // ---------------------------------------------------------------- syclx --
 
-class SyclxStream final : public StreamBenchmark {
+class SyclApi : public DevicePtrs {
  public:
-  SyclxStream(Vendor vendor, syclx::Implementation impl)
-      : queue_(vendor, impl) {}
+  SyclApi(Vendor vendor, syclx::Implementation impl) : queue_(vendor, impl) {}
 
-  [[nodiscard]] std::string label() const override {
+  [[nodiscard]] std::string label() const {
     return "SYCL(" + std::string(syclx::to_string(queue_.implementation())) +
            ")";
   }
-  [[nodiscard]] Vendor vendor() const override { return queue_.vendor(); }
+  [[nodiscard]] Vendor vendor() const { return queue_.vendor(); }
 
-  void alloc(std::size_t n) override {
-    n_ = n;
-    a_ = queue_.malloc_device<double>(n);
-    b_ = queue_.malloc_device<double>(n);
-    c_ = queue_.malloc_device<double>(n);
+  void alloc(std::size_t n) {
+    for (double*& d : p) d = queue_.malloc_device<double>(n);
   }
-
-  ~SyclxStream() override {
-    queue_.free(a_);
-    queue_.free(b_);
-    queue_.free(c_);
+  ~SyclApi() {
+    for (double* d : p) queue_.free(d);
   }
 
-  void init_arrays() override {
-    queue_.parallel_for(syclx::range{n_}, costs_for(StreamKernel::Copy, n_),
-                        policy_, [a = a_, b = b_, c = c_](syclx::id i) {
-                          a[i] = kInitA;
-                          b[i] = kInitB;
-                          c[i] = kInitC;
-                        });
+  template <typename Body>
+  void for_each(StreamKernel kind, std::size_t n, const Body& body) {
+    queue_.parallel_for(syclx::range{n}, costs_for(kind, n), policy,
+                        [body](syclx::id i) { body(i); });
+  }
+  template <typename Term>
+  double sum(StreamKernel kind, std::size_t n, const Term& term) {
+    return queue_.reduce(syclx::range{n}, 0.0, costs_for(kind, n), term,
+                         std::plus<>{});
   }
 
-  void copy() override {
-    queue_.parallel_for(syclx::range{n_}, costs_for(StreamKernel::Copy, n_),
-                        policy_,
-                        [a = a_, c = c_](syclx::id i) { c[i] = a[i]; });
+  void read(const Out& out, std::size_t n) {
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      queue_.memcpy(out[k], p[k], n * sizeof(double));
+    }
   }
-  void mul() override {
-    queue_.parallel_for(
-        syclx::range{n_}, costs_for(StreamKernel::Mul, n_), policy_,
-        [b = b_, c = c_](syclx::id i) { b[i] = kScalar * c[i]; });
-  }
-  void add() override {
-    queue_.parallel_for(
-        syclx::range{n_}, costs_for(StreamKernel::Add, n_), policy_,
-        [a = a_, b = b_, c = c_](syclx::id i) { c[i] = a[i] + b[i]; });
-  }
-  void triad() override {
-    queue_.parallel_for(
-        syclx::range{n_}, costs_for(StreamKernel::Triad, n_), policy_,
-        [a = a_, b = b_, c = c_](syclx::id i) {
-          a[i] = b[i] + kScalar * c[i];
-        });
-  }
-
-  [[nodiscard]] double dot() override {
-    return queue_.reduce(
-        syclx::range{n_}, 0.0, costs_for(StreamKernel::Dot, n_),
-        [a = a_, b = b_](std::size_t i) { return a[i] * b[i]; },
-        [](double x, double y) { return x + y; });
-  }
-
-  [[nodiscard]] double reduce() override {
-    return queue_.reduce(
-        syclx::range{n_}, 0.0, costs_for(StreamKernel::Reduce, n_),
-        [a = a_](std::size_t i) { return a[i] * a[i]; },
-        [](double x, double y) { return x + y; });
-  }
-
-  void uneven() override {
-    queue_.parallel_for(syclx::range{n_},
-                        costs_for(StreamKernel::Uneven, n_), policy_,
-                        [a = a_, c = c_](syclx::id i) {
-                          uneven_at(a, c, static_cast<std::size_t>(i));
-                        });
-  }
-
-  void set_schedule(gpusim::Schedule schedule) override {
-    policy_ = gpusim::LaunchPolicy{schedule, 0};
-  }
-
-  void read_arrays(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& c) override {
-    a.resize(n_);
-    b.resize(n_);
-    c.resize(n_);
-    queue_.memcpy(a.data(), a_, n_ * sizeof(double));
-    queue_.memcpy(b.data(), b_, n_ * sizeof(double));
-    queue_.memcpy(c.data(), c_, n_ * sizeof(double));
-  }
-
-  [[nodiscard]] double simulated_time_us() const override {
+  [[nodiscard]] double simulated_time_us() const {
     return queue_.simulated_time_us();
   }
 
+  gpusim::LaunchPolicy policy{};
+
  private:
   syclx::queue queue_;
-  gpusim::LaunchPolicy policy_{};
-  std::size_t n_{};
-  double* a_{};
-  double* b_{};
-  double* c_{};
 };
 
 // ----------------------------------------------------------------- ompx --
 
-class OmpxStream final : public StreamBenchmark {
+class OmpApi : public DevicePtrs {
  public:
-  OmpxStream(Vendor vendor, ompx::Compiler compiler)
-      : dev_(vendor, compiler) {}
+  OmpApi(Vendor vendor, ompx::Compiler compiler) : dev_(vendor, compiler) {}
 
-  [[nodiscard]] std::string label() const override {
+  [[nodiscard]] std::string label() const {
     return "OpenMP(" + std::string(ompx::to_string(dev_.compiler())) + ")";
   }
-  [[nodiscard]] Vendor vendor() const override { return dev_.vendor(); }
+  [[nodiscard]] Vendor vendor() const { return dev_.vendor(); }
 
-  void alloc(std::size_t n) override {
-    n_ = n;
-    ha_.assign(n, 0.0);
-    hb_.assign(n, 0.0);
-    hc_.assign(n, 0.0);
+  void alloc(std::size_t n) {
+    for (std::vector<double>& h : host_) h.assign(n, 0.0);
     data_ = std::make_unique<ompx::target_data>(dev_);
-    a_ = data_->map_tofrom(ha_.data(), n);
-    b_ = data_->map_tofrom(hb_.data(), n);
-    c_ = data_->map_tofrom(hc_.data(), n);
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      p[k] = data_->map_tofrom(host_[k].data(), n);
+    }
   }
 
-  void init_arrays() override {
-    ompx::target_teams_distribute_parallel_for(
-        dev_, n_, costs_for(StreamKernel::Copy, n_),
-        [a = a_, b = b_, c = c_](std::size_t i) {
-          a[i] = kInitA;
-          b[i] = kInitB;
-          c[i] = kInitC;
-        });
+  template <typename Body>
+  void for_each(StreamKernel kind, std::size_t n, const Body& body) {
+    ompx::target_teams_distribute_parallel_for(dev_, n, costs_for(kind, n),
+                                               body);
+  }
+  template <typename Term>
+  double sum(StreamKernel kind, std::size_t n, const Term& term) {
+    return ompx::target_teams_reduce(dev_, n, 0.0, costs_for(kind, n), term);
   }
 
-  void copy() override {
-    ompx::target_teams_distribute_parallel_for(
-        dev_, n_, costs_for(StreamKernel::Copy, n_),
-        [a = a_, c = c_](std::size_t i) { c[i] = a[i]; });
+  /// `#pragma omp target update from(...)`, then the host copies.
+  void read(const Out& out, std::size_t /*n*/) {
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      data_->update_from(host_[k].data());
+      std::copy(host_[k].begin(), host_[k].end(), out[k]);
+    }
   }
-  void mul() override {
-    ompx::target_teams_distribute_parallel_for(
-        dev_, n_, costs_for(StreamKernel::Mul, n_),
-        [b = b_, c = c_](std::size_t i) { b[i] = kScalar * c[i]; });
-  }
-  void add() override {
-    ompx::target_teams_distribute_parallel_for(
-        dev_, n_, costs_for(StreamKernel::Add, n_),
-        [a = a_, b = b_, c = c_](std::size_t i) { c[i] = a[i] + b[i]; });
-  }
-  void triad() override {
-    ompx::target_teams_distribute_parallel_for(
-        dev_, n_, costs_for(StreamKernel::Triad, n_),
-        [a = a_, b = b_, c = c_](std::size_t i) {
-          a[i] = b[i] + kScalar * c[i];
-        });
-  }
-
-  [[nodiscard]] double dot() override {
-    return ompx::target_teams_reduce(
-        dev_, n_, 0.0, costs_for(StreamKernel::Dot, n_),
-        [a = a_, b = b_](std::size_t i) { return a[i] * b[i]; });
-  }
-
-  [[nodiscard]] double reduce() override {
-    return ompx::target_teams_reduce(
-        dev_, n_, 0.0, costs_for(StreamKernel::Reduce, n_),
-        [a = a_](std::size_t i) { return a[i] * a[i]; });
-  }
-
-  void uneven() override {
-    ompx::target_teams_distribute_parallel_for(
-        dev_, n_, costs_for(StreamKernel::Uneven, n_),
-        [a = a_, c = c_](std::size_t i) { uneven_at(a, c, i); });
-  }
-
-  void read_arrays(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& c) override {
-    data_->update_from(ha_.data());
-    data_->update_from(hb_.data());
-    data_->update_from(hc_.data());
-    a = ha_;
-    b = hb_;
-    c = hc_;
-  }
-
-  [[nodiscard]] double simulated_time_us() const override {
+  [[nodiscard]] double simulated_time_us() const {
     return dev_.simulated_time_us();
   }
 
  private:
   ompx::TargetDevice dev_;
-  std::size_t n_{};
-  std::vector<double> ha_, hb_, hc_;
+  std::array<std::vector<double>, 3> host_;
   std::unique_ptr<ompx::target_data> data_;
-  double* a_{};
-  double* b_{};
-  double* c_{};
 };
 
 // ----------------------------------------------------------------- accx --
 
-class AccxStream final : public StreamBenchmark {
+class AccApi : public DevicePtrs {
  public:
-  AccxStream(Vendor vendor, accx::Compiler compiler)
-      : acc_(vendor, compiler) {}
+  AccApi(Vendor vendor, accx::Compiler compiler) : acc_(vendor, compiler) {}
 
-  [[nodiscard]] std::string label() const override {
+  [[nodiscard]] std::string label() const {
     return "OpenACC(" + std::string(accx::to_string(acc_.compiler())) + ")";
   }
-  [[nodiscard]] Vendor vendor() const override { return acc_.vendor(); }
+  [[nodiscard]] Vendor vendor() const { return acc_.vendor(); }
 
-  void alloc(std::size_t n) override {
-    n_ = n;
-    ha_.assign(n, 0.0);
-    hb_.assign(n, 0.0);
-    hc_.assign(n, 0.0);
+  void alloc(std::size_t n) {
+    for (std::vector<double>& h : host_) h.assign(n, 0.0);
     data_ = std::make_unique<accx::data_region>(acc_);
-    a_ = data_->copy(ha_.data(), n);
-    b_ = data_->copy(hb_.data(), n);
-    c_ = data_->copy(hc_.data(), n);
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      p[k] = data_->copy(host_[k].data(), n);
+    }
   }
 
-  void init_arrays() override {
-    acc_.parallel_loop(n_, costs_for(StreamKernel::Copy, n_),
-                       [a = a_, b = b_, c = c_](std::size_t i) {
-                         a[i] = kInitA;
-                         b[i] = kInitB;
-                         c[i] = kInitC;
-                       });
+  template <typename Body>
+  void for_each(StreamKernel kind, std::size_t n, const Body& body) {
+    acc_.parallel_loop(n, costs_for(kind, n), body);
+  }
+  template <typename Term>
+  double sum(StreamKernel kind, std::size_t n, const Term& term) {
+    return acc_.parallel_loop_reduce(n, 0.0, costs_for(kind, n), term);
   }
 
-  void copy() override {
-    acc_.parallel_loop(n_, costs_for(StreamKernel::Copy, n_),
-                       [a = a_, c = c_](std::size_t i) { c[i] = a[i]; });
+  /// `#pragma acc update self(...)`, then the host copies.
+  void read(const Out& out, std::size_t n) {
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      acc_.queue().memcpy(host_[k].data(), p[k], n * sizeof(double),
+                          gpusim::CopyKind::DeviceToHost);
+      std::copy(host_[k].begin(), host_[k].end(), out[k]);
+    }
   }
-  void mul() override {
-    acc_.parallel_loop(
-        n_, costs_for(StreamKernel::Mul, n_),
-        [b = b_, c = c_](std::size_t i) { b[i] = kScalar * c[i]; });
-  }
-  void add() override {
-    acc_.parallel_loop(
-        n_, costs_for(StreamKernel::Add, n_),
-        [a = a_, b = b_, c = c_](std::size_t i) { c[i] = a[i] + b[i]; });
-  }
-  void triad() override {
-    acc_.parallel_loop(n_, costs_for(StreamKernel::Triad, n_),
-                       [a = a_, b = b_, c = c_](std::size_t i) {
-                         a[i] = b[i] + kScalar * c[i];
-                       });
-  }
-
-  [[nodiscard]] double dot() override {
-    return acc_.parallel_loop_reduce(
-        n_, 0.0, costs_for(StreamKernel::Dot, n_),
-        [a = a_, b = b_](std::size_t i) { return a[i] * b[i]; });
-  }
-
-  [[nodiscard]] double reduce() override {
-    return acc_.parallel_loop_reduce(
-        n_, 0.0, costs_for(StreamKernel::Reduce, n_),
-        [a = a_](std::size_t i) { return a[i] * a[i]; });
-  }
-
-  void uneven() override {
-    acc_.parallel_loop(n_, costs_for(StreamKernel::Uneven, n_),
-                       [a = a_, c = c_](std::size_t i) {
-                         uneven_at(a, c, i);
-                       });
-  }
-
-  void read_arrays(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& c) override {
-    // `#pragma acc update self(...)` equivalent.
-    acc_.queue().memcpy(ha_.data(), a_, n_ * sizeof(double),
-                        gpusim::CopyKind::DeviceToHost);
-    acc_.queue().memcpy(hb_.data(), b_, n_ * sizeof(double),
-                        gpusim::CopyKind::DeviceToHost);
-    acc_.queue().memcpy(hc_.data(), c_, n_ * sizeof(double),
-                        gpusim::CopyKind::DeviceToHost);
-    a = ha_;
-    b = hb_;
-    c = hc_;
-  }
-
-  [[nodiscard]] double simulated_time_us() const override {
-    return const_cast<accx::Accelerator&>(acc_).simulated_time_us();
+  [[nodiscard]] double simulated_time_us() const {
+    return acc_.simulated_time_us();
   }
 
  private:
-  accx::Accelerator acc_;
-  std::size_t n_{};
-  std::vector<double> ha_, hb_, hc_;
+  mutable accx::Accelerator acc_;
+  std::array<std::vector<double>, 3> host_;
   std::unique_ptr<accx::data_region> data_;
-  double* a_{};
-  double* b_{};
-  double* c_{};
+};
+
+// -------------------------------------------------------------- kokkosx --
+
+class KokkosApi {
+ public:
+  KokkosApi(kokkosx::ExecSpace space, Vendor vendor) : exec_(space, vendor) {}
+
+  [[nodiscard]] std::string label() const {
+    return "Kokkos(" + std::string(kokkosx::to_string(exec_.space())) + ")";
+  }
+  [[nodiscard]] Vendor vendor() const { return exec_.vendor(); }
+
+  void alloc(std::size_t n) {
+    using V = kokkosx::View<double>;
+    s_.emplace(StreamArrays<V>{V(exec_, "a", n), V(exec_, "b", n),
+                               V(exec_, "c", n)});
+  }
+  /// Views, not raw pointers: every element access goes through
+  /// View::operator(), which the sanitizer observes.
+  [[nodiscard]] StreamArrays<kokkosx::View<double>> arrays() const {
+    return *s_;
+  }
+
+  template <typename Body>
+  void for_each(StreamKernel kind, std::size_t n, const Body& body) {
+    kokkosx::parallel_for(exec_, kokkosx::RangePolicy{0, n},
+                          costs_for(kind, n), policy, body);
+  }
+  template <typename Term>
+  double sum(StreamKernel kind, std::size_t n, const Term& term) {
+    double result = 0.0;
+    kokkosx::parallel_reduce(
+        exec_, kokkosx::RangePolicy{0, n}, costs_for(kind, n),
+        [term](std::size_t i, double& update) { update += term(i); },
+        result);
+    return result;
+  }
+
+  void read(const Out& out, std::size_t /*n*/) {
+    kokkosx::deep_copy_to_host(out[0], s_->a);
+    kokkosx::deep_copy_to_host(out[1], s_->b);
+    kokkosx::deep_copy_to_host(out[2], s_->c);
+  }
+  [[nodiscard]] double simulated_time_us() const {
+    return exec_.simulated_time_us();
+  }
+
+  gpusim::LaunchPolicy policy{};
+
+ private:
+  kokkosx::Execution exec_;
+  std::optional<StreamArrays<kokkosx::View<double>>> s_;
+};
+
+// -------------------------------------------------------------- alpakax --
+
+template <typename TAcc>
+class AlpakaApi : public DevicePtrs {
+ public:
+  [[nodiscard]] std::string label() const {
+    return "Alpaka(" + std::string(TAcc::name) + ")";
+  }
+  [[nodiscard]] Vendor vendor() const { return TAcc::vendor; }
+
+  void alloc(std::size_t n) {
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      p[k] = bufs_[k].emplace(alpakax::alloc_buf<double>(queue_, n)).data();
+    }
+  }
+
+  template <typename Body>
+  void for_each(StreamKernel kind, std::size_t n, const Body& body) {
+    alpakax::exec(queue_, alpakax::work_div_for(n), costs_for(kind, n),
+                  [body, n](const alpakax::AccCtx& ctx) {
+                    const std::size_t i = ctx.global_thread_idx;
+                    if (i < n) body(i);
+                  });
+  }
+  /// Chunk partials written straight into a host array, host finish.
+  template <typename Term>
+  double sum(StreamKernel kind, std::size_t n, const Term& term) {
+    std::array<double, kChunks> partials{};
+    alpakax::exec(queue_, alpakax::WorkDiv{kChunks, 1}, costs_for(kind, n),
+                  [term, d = partials.data(), n](const alpakax::AccCtx& ctx) {
+                    chunk_partial(ctx.global_thread_idx, n, d, term);
+                  });
+    return std::accumulate(partials.begin(), partials.end(), 0.0);
+  }
+
+  void read(const Out& out, std::size_t n) {
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      alpakax::memcpy_to_host(queue_, out[k], *bufs_[k], n);
+    }
+  }
+  [[nodiscard]] double simulated_time_us() const {
+    return queue_.simulated_time_us();
+  }
+
+ private:
+  alpakax::Queue<TAcc> queue_;
+  std::array<std::optional<alpakax::Buf<double, TAcc>>, 3> bufs_;
 };
 
 // -------------------------------------------------------------- stdparx --
 
+/// stdpar keeps the ISO C++ iterator algorithms (three fills, std::copy,
+/// std::transform, transform_reduce): they are its idiom, and its launch
+/// count differs from the index-space models'.
 class StdparStream final : public StreamBenchmark {
  public:
   StdparStream(Vendor vendor, stdparx::Runtime runtime)
@@ -796,10 +571,10 @@ class StdparStream final : public StreamBenchmark {
   void uneven() override {
     // stdpar has no index-based loop; recover i from the element address,
     // the std::for_each(par_unseq) idiom for indexed access.
-    stdparx::for_each(pol_, c_->begin(), c_->end(),
-                      [a = a_->begin(), c = c_->begin()](double& x) {
-                        uneven_at(a, c, static_cast<std::size_t>(&x - c));
-                      });
+    stdparx::for_each(
+        pol_, c_->begin(), c_->end(),
+        [s = StreamArrays<double*>{a_->begin(), b_->begin(), c_->begin()}](
+            double& x) { s.uneven(static_cast<std::size_t>(&x - s.c)); });
   }
 
   void read_arrays(std::vector<double>& a, std::vector<double>& b,
@@ -822,311 +597,51 @@ class StdparStream final : public StreamBenchmark {
   std::unique_ptr<stdparx::device_vector<double>> a_, b_, c_;
 };
 
-// -------------------------------------------------------------- kokkosx --
-
-class KokkosxStream final : public StreamBenchmark {
- public:
-  KokkosxStream(kokkosx::ExecSpace space, Vendor vendor)
-      : exec_(space, vendor) {}
-
-  [[nodiscard]] std::string label() const override {
-    return "Kokkos(" + std::string(kokkosx::to_string(exec_.space())) + ")";
-  }
-  [[nodiscard]] Vendor vendor() const override { return exec_.vendor(); }
-
-  void alloc(std::size_t n) override {
-    n_ = n;
-    a_ = std::make_unique<kokkosx::View<double>>(exec_, "a", n);
-    b_ = std::make_unique<kokkosx::View<double>>(exec_, "b", n);
-    c_ = std::make_unique<kokkosx::View<double>>(exec_, "c", n);
-  }
-
-  void init_arrays() override {
-    kokkosx::parallel_for(exec_, kokkosx::RangePolicy{0, n_},
-                          costs_for(StreamKernel::Copy, n_), policy_,
-                          [a = *a_, b = *b_, c = *c_](std::size_t i) {
-                            a(i) = kInitA;
-                            b(i) = kInitB;
-                            c(i) = kInitC;
-                          });
-  }
-
-  void copy() override {
-    kokkosx::parallel_for(exec_, kokkosx::RangePolicy{0, n_},
-                          costs_for(StreamKernel::Copy, n_), policy_,
-                          [a = *a_, c = *c_](std::size_t i) { c(i) = a(i); });
-  }
-  void mul() override {
-    kokkosx::parallel_for(
-        exec_, kokkosx::RangePolicy{0, n_}, costs_for(StreamKernel::Mul, n_),
-        policy_,
-        [b = *b_, c = *c_](std::size_t i) { b(i) = kScalar * c(i); });
-  }
-  void add() override {
-    kokkosx::parallel_for(
-        exec_, kokkosx::RangePolicy{0, n_}, costs_for(StreamKernel::Add, n_),
-        policy_,
-        [a = *a_, b = *b_, c = *c_](std::size_t i) { c(i) = a(i) + b(i); });
-  }
-  void triad() override {
-    kokkosx::parallel_for(exec_, kokkosx::RangePolicy{0, n_},
-                          costs_for(StreamKernel::Triad, n_), policy_,
-                          [a = *a_, b = *b_, c = *c_](std::size_t i) {
-                            a(i) = b(i) + kScalar * c(i);
-                          });
-  }
-
-  [[nodiscard]] double dot() override {
-    double result = 0.0;
-    kokkosx::parallel_reduce(
-        exec_, kokkosx::RangePolicy{0, n_}, costs_for(StreamKernel::Dot, n_),
-        [a = *a_, b = *b_](std::size_t i, double& update) {
-          update += a(i) * b(i);
-        },
-        result);
-    return result;
-  }
-
-  [[nodiscard]] double reduce() override {
-    double result = 0.0;
-    kokkosx::parallel_reduce(
-        exec_, kokkosx::RangePolicy{0, n_},
-        costs_for(StreamKernel::Reduce, n_),
-        [a = *a_](std::size_t i, double& update) { update += a(i) * a(i); },
-        result);
-    return result;
-  }
-
-  void uneven() override {
-    kokkosx::parallel_for(exec_, kokkosx::RangePolicy{0, n_},
-                          costs_for(StreamKernel::Uneven, n_), policy_,
-                          [a = *a_, c = *c_](std::size_t i) {
-                            const std::size_t start = i - (i % kUnevenTile);
-                            double acc = 0.0;
-                            for (std::size_t j = start; j <= i; ++j) {
-                              acc += a(j);
-                            }
-                            c(i) = acc;
-                          });
-  }
-
-  void set_schedule(gpusim::Schedule schedule) override {
-    policy_ = gpusim::LaunchPolicy{schedule, 0};
-  }
-
-  void read_arrays(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& c) override {
-    a.resize(n_);
-    b.resize(n_);
-    c.resize(n_);
-    kokkosx::deep_copy_to_host(a.data(), *a_);
-    kokkosx::deep_copy_to_host(b.data(), *b_);
-    kokkosx::deep_copy_to_host(c.data(), *c_);
-  }
-
-  [[nodiscard]] double simulated_time_us() const override {
-    return exec_.simulated_time_us();
-  }
-
- private:
-  kokkosx::Execution exec_;
-  gpusim::LaunchPolicy policy_{};
-  std::size_t n_{};
-  std::unique_ptr<kokkosx::View<double>> a_, b_, c_;
-};
-
-// -------------------------------------------------------------- alpakax --
-
-template <typename TAcc>
-class AlpakaxStream final : public StreamBenchmark {
- public:
-  AlpakaxStream() = default;
-
-  [[nodiscard]] std::string label() const override {
-    return "Alpaka(" + std::string(TAcc::name) + ")";
-  }
-  [[nodiscard]] Vendor vendor() const override { return TAcc::vendor; }
-
-  void alloc(std::size_t n) override {
-    n_ = n;
-    a_.emplace(alpakax::alloc_buf<double>(queue_, n));
-    b_.emplace(alpakax::alloc_buf<double>(queue_, n));
-    c_.emplace(alpakax::alloc_buf<double>(queue_, n));
-  }
-
-  void init_arrays() override {
-    run(StreamKernel::Copy,
-        [a = a_->data(), b = b_->data(), c = c_->data(),
-         n = n_](const alpakax::AccCtx& ctx) {
-          const std::size_t i = ctx.global_thread_idx;
-          if (i < n) {
-            a[i] = kInitA;
-            b[i] = kInitB;
-            c[i] = kInitC;
-          }
-        });
-  }
-
-  void copy() override {
-    run(StreamKernel::Copy,
-        [a = a_->data(), c = c_->data(), n = n_](const alpakax::AccCtx& ctx) {
-          const std::size_t i = ctx.global_thread_idx;
-          if (i < n) c[i] = a[i];
-        });
-  }
-  void mul() override {
-    run(StreamKernel::Mul,
-        [b = b_->data(), c = c_->data(), n = n_](const alpakax::AccCtx& ctx) {
-          const std::size_t i = ctx.global_thread_idx;
-          if (i < n) b[i] = kScalar * c[i];
-        });
-  }
-  void add() override {
-    run(StreamKernel::Add, [a = a_->data(), b = b_->data(), c = c_->data(),
-                            n = n_](const alpakax::AccCtx& ctx) {
-      const std::size_t i = ctx.global_thread_idx;
-      if (i < n) c[i] = a[i] + b[i];
-    });
-  }
-  void triad() override {
-    run(StreamKernel::Triad, [a = a_->data(), b = b_->data(), c = c_->data(),
-                              n = n_](const alpakax::AccCtx& ctx) {
-      const std::size_t i = ctx.global_thread_idx;
-      if (i < n) a[i] = b[i] + kScalar * c[i];
-    });
-  }
-
-  [[nodiscard]] double dot() override {
-    constexpr std::size_t kChunks = 64;
-    std::array<double, kChunks> partials{};
-    const std::size_t chunk = (n_ + kChunks - 1) / kChunks;
-    alpakax::exec(queue_, alpakax::WorkDiv{kChunks, 1},
-                  costs_for(StreamKernel::Dot, n_),
-                  [a = a_->data(), b = b_->data(), &partials, n = n_,
-                   chunk](const alpakax::AccCtx& ctx) {
-                    const std::size_t cidx = ctx.global_thread_idx;
-                    if (cidx >= kChunks) return;
-                    const std::size_t begin = cidx * chunk;
-                    const std::size_t end = std::min(n, begin + chunk);
-                    double acc = 0.0;
-                    for (std::size_t i = begin; i < end; ++i) {
-                      acc += a[i] * b[i];
-                    }
-                    partials[cidx] = acc;
-                  });
-    return std::accumulate(partials.begin(), partials.end(), 0.0);
-  }
-
-  [[nodiscard]] double reduce() override {
-    constexpr std::size_t kChunks = 64;
-    std::array<double, kChunks> partials{};
-    const std::size_t chunk = (n_ + kChunks - 1) / kChunks;
-    alpakax::exec(queue_, alpakax::WorkDiv{kChunks, 1},
-                  costs_for(StreamKernel::Reduce, n_),
-                  [a = a_->data(), &partials, n = n_,
-                   chunk](const alpakax::AccCtx& ctx) {
-                    const std::size_t cidx = ctx.global_thread_idx;
-                    if (cidx >= kChunks) return;
-                    const std::size_t begin = cidx * chunk;
-                    const std::size_t end = std::min(n, begin + chunk);
-                    double acc = 0.0;
-                    for (std::size_t i = begin; i < end; ++i) {
-                      acc += a[i] * a[i];
-                    }
-                    partials[cidx] = acc;
-                  });
-    return std::accumulate(partials.begin(), partials.end(), 0.0);
-  }
-
-  void uneven() override {
-    run(StreamKernel::Uneven,
-        [a = a_->data(), c = c_->data(), n = n_](const alpakax::AccCtx& ctx) {
-          const std::size_t i = ctx.global_thread_idx;
-          if (i < n) uneven_at(a, c, i);
-        });
-  }
-
-  void read_arrays(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& c) override {
-    a.resize(n_);
-    b.resize(n_);
-    c.resize(n_);
-    alpakax::memcpy_to_host(queue_, a.data(), *a_, n_);
-    alpakax::memcpy_to_host(queue_, b.data(), *b_, n_);
-    alpakax::memcpy_to_host(queue_, c.data(), *c_, n_);
-  }
-
-  [[nodiscard]] double simulated_time_us() const override {
-    return queue_.simulated_time_us();
-  }
-
- private:
-  template <typename K>
-  void run(StreamKernel kind, K&& kernel) {
-    alpakax::exec(queue_, alpakax::work_div_for(n_), costs_for(kind, n_),
-                  std::forward<K>(kernel));
-  }
-
-  alpakax::Queue<TAcc> queue_;
-  std::size_t n_{};
-  std::optional<alpakax::Buf<double, TAcc>> a_, b_, c_;
-};
+template <typename Api, typename... Args>
+[[nodiscard]] std::unique_ptr<StreamBenchmark> route(Args... args) {
+  return std::make_unique<ModelStream<Api>>(args...);
+}
 
 }  // namespace
 
 std::vector<std::unique_ptr<StreamBenchmark>> stream_benchmarks_for(
     Vendor vendor) {
+  using syclx::Implementation;
   std::vector<std::unique_ptr<StreamBenchmark>> out;
   switch (vendor) {
     case Vendor::NVIDIA:
-      out.push_back(std::make_unique<CudaxStream>());
-      out.push_back(std::make_unique<HipxStream>(hipx::Platform::nvidia));
-      out.push_back(std::make_unique<SyclxStream>(
-          Vendor::NVIDIA, syclx::Implementation::DPCpp));
-      out.push_back(std::make_unique<SyclxStream>(
-          Vendor::NVIDIA, syclx::Implementation::OpenSYCL));
+      out.push_back(route<CudaApi>());
+      out.push_back(route<HipApi>(hipx::Platform::nvidia));
+      out.push_back(route<SyclApi>(vendor, Implementation::DPCpp));
+      out.push_back(route<SyclApi>(vendor, Implementation::OpenSYCL));
+      out.push_back(route<OmpApi>(vendor, ompx::Compiler::NVHPC));
+      out.push_back(route<AccApi>(vendor, accx::Compiler::NVHPC));
       out.push_back(
-          std::make_unique<OmpxStream>(Vendor::NVIDIA, ompx::Compiler::NVHPC));
-      out.push_back(
-          std::make_unique<AccxStream>(Vendor::NVIDIA, accx::Compiler::NVHPC));
-      out.push_back(std::make_unique<StdparStream>(Vendor::NVIDIA,
-                                                   stdparx::Runtime::NVHPC));
-      out.push_back(std::make_unique<KokkosxStream>(kokkosx::ExecSpace::Cuda,
-                                                    Vendor::NVIDIA));
-      out.push_back(
-          std::make_unique<AlpakaxStream<alpakax::AccGpuCudaRt>>());
+          std::make_unique<StdparStream>(vendor, stdparx::Runtime::NVHPC));
+      out.push_back(route<KokkosApi>(kokkosx::ExecSpace::Cuda, vendor));
+      out.push_back(route<AlpakaApi<alpakax::AccGpuCudaRt>>());
       break;
     case Vendor::AMD:
-      out.push_back(std::make_unique<HipxStream>(hipx::Platform::amd));
-      out.push_back(std::make_unique<SyclxStream>(
-          Vendor::AMD, syclx::Implementation::OpenSYCL));
-      out.push_back(std::make_unique<SyclxStream>(
-          Vendor::AMD, syclx::Implementation::DPCpp));
-      out.push_back(
-          std::make_unique<OmpxStream>(Vendor::AMD, ompx::Compiler::AOMP));
-      out.push_back(
-          std::make_unique<AccxStream>(Vendor::AMD, accx::Compiler::GCC));
+      out.push_back(route<HipApi>(hipx::Platform::amd));
+      out.push_back(route<SyclApi>(vendor, Implementation::OpenSYCL));
+      out.push_back(route<SyclApi>(vendor, Implementation::DPCpp));
+      out.push_back(route<OmpApi>(vendor, ompx::Compiler::AOMP));
+      out.push_back(route<AccApi>(vendor, accx::Compiler::GCC));
       if (stdparx::roc_stdpar_enabled()) {
         out.push_back(std::make_unique<StdparStream>(
-            Vendor::AMD, stdparx::Runtime::RocStdpar));
+            vendor, stdparx::Runtime::RocStdpar));
       }
-      out.push_back(std::make_unique<KokkosxStream>(kokkosx::ExecSpace::HIP,
-                                                    Vendor::AMD));
-      out.push_back(std::make_unique<AlpakaxStream<alpakax::AccGpuHipRt>>());
+      out.push_back(route<KokkosApi>(kokkosx::ExecSpace::HIP, vendor));
+      out.push_back(route<AlpakaApi<alpakax::AccGpuHipRt>>());
       break;
     case Vendor::Intel:
-      out.push_back(std::make_unique<SyclxStream>(
-          Vendor::Intel, syclx::Implementation::DPCpp));
-      out.push_back(std::make_unique<SyclxStream>(
-          Vendor::Intel, syclx::Implementation::OpenSYCL));
+      out.push_back(route<SyclApi>(vendor, Implementation::DPCpp));
+      out.push_back(route<SyclApi>(vendor, Implementation::OpenSYCL));
+      out.push_back(route<OmpApi>(vendor, ompx::Compiler::ICPX));
       out.push_back(
-          std::make_unique<OmpxStream>(Vendor::Intel, ompx::Compiler::ICPX));
-      out.push_back(std::make_unique<StdparStream>(Vendor::Intel,
-                                                   stdparx::Runtime::OneDPL));
-      out.push_back(std::make_unique<KokkosxStream>(kokkosx::ExecSpace::SYCL,
-                                                    Vendor::Intel));
-      out.push_back(
-          std::make_unique<AlpakaxStream<alpakax::AccGpuSyclIntel>>());
+          std::make_unique<StdparStream>(vendor, stdparx::Runtime::OneDPL));
+      out.push_back(route<KokkosApi>(kokkosx::ExecSpace::SYCL, vendor));
+      out.push_back(route<AlpakaApi<alpakax::AccGpuSyclIntel>>());
       break;
   }
   return out;

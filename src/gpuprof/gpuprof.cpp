@@ -28,7 +28,9 @@ struct State {
   Clock::time_point t0{};
   std::uint64_t next_id{1};
   std::uint32_t next_queue_id{1};
-  std::unordered_map<const void*, std::uint32_t> queue_ids;
+  /// Keyed by Queue::serial(), not address: a queue destroyed and a new
+  /// one at the same address get distinct timeline rows.
+  std::unordered_map<std::uint64_t, std::uint32_t> queue_ids;
   std::map<std::uint64_t, TraceEvent> open;  ///< begun, end not yet seen
   std::vector<TraceEvent> events;
   std::uint64_t dropped{0};
@@ -52,7 +54,8 @@ State& state() {
 
 /// The per-queue timeline id, assigned on first sight (s.mu held).
 [[nodiscard]] std::uint32_t queue_id(State& s, const gpusim::Queue& q) {
-  const auto [it, inserted] = s.queue_ids.emplace(&q, s.next_queue_id);
+  const auto [it, inserted] =
+      s.queue_ids.emplace(q.serial(), s.next_queue_id);
   if (inserted) ++s.next_queue_id;
   return it->second;
 }

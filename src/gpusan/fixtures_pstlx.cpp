@@ -7,6 +7,7 @@
 // range against the owning allocations.
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -20,13 +21,20 @@ namespace {
 /// Odd on purpose: exercises ceil-split tiles with a short tail.
 constexpr std::size_t kPstlxN = 4097;
 
+/// Values stay below kPstlxMax so the workload's int products fit an
+/// int: transform_reduce multiplies a[i] (at most kPstlxMax after its +1)
+/// by b[i] in the element type.
+constexpr int kPstlxMax = 46000;
+static_assert(static_cast<long long>(kPstlxMax) * kPstlxMax <=
+              std::numeric_limits<int>::max());
+
 /// Seeded deterministic fill (same shape the differential tests use).
 [[nodiscard]] std::vector<int> pstlx_input(std::uint64_t seed) {
   std::vector<int> data(kPstlxN);
   std::uint64_t state = seed;
   for (auto& x : data) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
-    x = static_cast<int>((state >> 33) % 100000);
+    x = static_cast<int>((state >> 33) % kPstlxMax);
   }
   return data;
 }

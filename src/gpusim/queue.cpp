@@ -1,16 +1,23 @@
 #include "gpusim/queue.hpp"
 
+#include <atomic>
+
 #include "gpusim/device.hpp"
 #include "gpusim/error.hpp"
 #include "gpusim/stripe.hpp"
 
 namespace mcmm::gpusim {
 
+namespace {
+std::atomic<std::uint64_t> g_next_queue_serial{1};
+}  // namespace
+
 Queue::Queue(Device& device)
     : device_(&device),
       descriptor_(&device.descriptor()),
       pool_(&device.pool()),
-      max_threads_per_block_(device.descriptor().max_threads_per_block) {}
+      max_threads_per_block_(device.descriptor().max_threads_per_block),
+      serial_(g_next_queue_serial.fetch_add(1, std::memory_order_relaxed)) {}
 
 void Queue::fail_launch(const LaunchConfig& cfg) const {
   if (cfg.grid.volume() == 0 || cfg.block.volume() == 0) {

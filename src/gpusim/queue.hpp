@@ -36,6 +36,10 @@ class Queue {
   [[nodiscard]] Device& device() noexcept { return *device_; }
   [[nodiscard]] const Device& device() const noexcept { return *device_; }
 
+  /// Process-unique, never reused: unlike the queue's address, it tells
+  /// a destroyed queue from a later one built in the same memory.
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
+
   /// The device's fork-join pool, which runs this queue's kernels,
   /// copies and fills.
   [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
@@ -222,6 +226,7 @@ class Queue {
   BackendProfile profile_{};
   double sim_time_us_{0};
   Graph* capture_{nullptr};  ///< non-null while in capture mode
+  std::uint64_t serial_;
 };
 
 }  // namespace mcmm::gpusim

@@ -44,8 +44,12 @@ inline bool parallel_profitable(const ThreadPool& pool) {
   return multi_core && pool.worker_count() > 1;
 }
 
+/// A zero-length copy or fill touches nothing; it returns before the
+/// libc call, whose pointer arguments must be non-null even then (an
+/// empty host vector hands in a null source).
 inline void run_copy(ThreadPool& pool, void* dst, const void* src,
                      std::size_t bytes) {
+  if (bytes == 0) return;
   if (bytes >= kParallelBytesThreshold && parallel_profitable(pool)) {
     CopyCtx ctx{static_cast<unsigned char*>(dst),
                 static_cast<const unsigned char*>(src)};
@@ -57,6 +61,7 @@ inline void run_copy(ThreadPool& pool, void* dst, const void* src,
 
 inline void run_fill(ThreadPool& pool, void* dst, int value,
                      std::size_t bytes) {
+  if (bytes == 0) return;
   if (bytes >= kParallelBytesThreshold && parallel_profitable(pool)) {
     FillCtx ctx{static_cast<unsigned char*>(dst), value};
     pool.run_batch(bytes, &fill_chunk, &ctx);

@@ -3,7 +3,6 @@
 // gpuprof's ProfilerHooks trace rather than fresh instrumentation.
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "bench_support/stream.hpp"
@@ -49,40 +48,6 @@ class RocStdparGuard {
  private:
   bool saved_;
 };
-
-/// Scalar replay of the extended cycle (all elements evolve identically):
-/// per repetition copy, mul, add, triad, dot, reduce, uneven. Uneven
-/// clobbers c with tile prefix sums of the post-triad a; the next
-/// repetition's copy rewrites c before mul reads it, so the classic a/b
-/// recurrence is untouched.
-[[nodiscard]] bool verify_suite(const std::vector<double>& a,
-                                const std::vector<double>& b,
-                                const std::vector<double>& c, double dot,
-                                double reduce, std::size_t n, int reps) {
-  double va = bench::kInitA, vb = bench::kInitB, vc = bench::kInitC;
-  for (int r = 0; r < reps; ++r) {
-    vc = va;                          // copy
-    vb = bench::kScalar * vc;         // mul
-    vc = va + vb;                     // add
-    va = vb + bench::kScalar * vc;    // triad
-  }
-  const double expected_dot = va * vb * static_cast<double>(n);
-  const double expected_reduce = va * va * static_cast<double>(n);
-
-  const auto close = [](double x, double y, double tol) {
-    const double scale = std::max({std::fabs(x), std::fabs(y), 1e-30});
-    return std::fabs(x - y) / scale < tol;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const double span = static_cast<double>(i % bench::kUnevenTile + 1);
-    if (!close(a[i], va, 1e-8) || !close(b[i], vb, 1e-8) ||
-        !close(c[i], span * va, 1e-8)) {
-      return false;
-    }
-  }
-  return close(dot, expected_dot, 1e-6) &&
-         close(reduce, expected_reduce, 1e-6);
-}
 
 /// One (route, schedule, size) measurement: the suite runs under
 /// gpuprof::capture_trace and each kernel's roofline row comes out of the
@@ -167,7 +132,8 @@ struct SuiteRun {
         peak > 0 ? 100.0 * copy.achieved_gbps / peak : 0.0;
     run.summaries.push_back(std::move(copy));
   }
-  run.verified = verify_suite(a, b, c, dot_value, reduce_value, n, reps);
+  run.verified =
+      bench::verify_suite(a, b, c, {dot_value, reduce_value}, n, reps);
   return run;
 }
 

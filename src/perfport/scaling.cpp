@@ -8,12 +8,11 @@
 // from T_1 — the weak-scaling efficiency story.
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "bench_support/stream.hpp"
+#include "bench_support/stream_kernels.hpp"
 #include "gpuprof/gpuprof.hpp"
 #include "gpusim/descriptor.hpp"
 #include "gpusim/device.hpp"
@@ -24,58 +23,8 @@
 namespace mcmm::perfport {
 namespace {
 
+using bench::kChunks;
 using gpusim::KernelCosts;
-
-/// Chunk count of the two-phase Dot/Reduce reductions; fixed so the
-/// double-precision combine order (and thus the bits) never depends on
-/// the host pool size.
-constexpr std::uint32_t kChunks = 64;
-
-[[nodiscard]] KernelCosts elementwise_costs(bench::StreamKernel k,
-                                            std::size_t n) {
-  const double nd = static_cast<double>(n) * sizeof(double);
-  KernelCosts c;
-  switch (k) {
-    case bench::StreamKernel::Copy:
-      c.bytes_read = nd;
-      c.bytes_written = nd;
-      break;
-    case bench::StreamKernel::Mul:
-      c.bytes_read = nd;
-      c.bytes_written = nd;
-      c.flops = static_cast<double>(n);
-      break;
-    case bench::StreamKernel::Add:
-      c.bytes_read = 2 * nd;
-      c.bytes_written = nd;
-      c.flops = static_cast<double>(n);
-      break;
-    case bench::StreamKernel::Triad:
-      c.bytes_read = 2 * nd;
-      c.bytes_written = nd;
-      c.flops = 2.0 * static_cast<double>(n);
-      break;
-    case bench::StreamKernel::Dot:
-      c.bytes_read = 2 * nd;
-      c.bytes_written = kChunks * sizeof(double);
-      c.flops = 2.0 * static_cast<double>(n);
-      break;
-    case bench::StreamKernel::Reduce:
-      c.bytes_read = nd;
-      c.bytes_written = kChunks * sizeof(double);
-      c.flops = 2.0 * static_cast<double>(n);
-      break;
-    case bench::StreamKernel::Uneven: {
-      const double span =
-          static_cast<double>(bench::uneven_span_total(n)) * sizeof(double);
-      c.bytes_read = span;
-      c.bytes_written = nd;
-      c.flops = span / sizeof(double);
-      break;
-    }
-  }
-  return c;
-}
 
 [[nodiscard]] KernelCosts combine_costs() {
   KernelCosts c;
@@ -121,138 +70,44 @@ struct ScenarioDevice {
 /// device's queue into d.graph, then instantiates it.
 void capture_suite(ScenarioDevice& d, std::size_t n) {
   using bench::StreamKernel;
-  const auto cfg = gpusim::launch_1d(n, 256);
-  const auto chunk_cfg = gpusim::launch_1d(kChunks, 1);
-  const auto one_cfg = gpusim::launch_1d(1, 1);
-  const std::size_t chunk = (n + kChunks - 1) / kChunks;
+  using Arrays = bench::StreamArrays<double*>;
+  const Arrays s{d.a, d.b, d.c};
+  gpusim::Queue& q = *d.q;
+  // Two-phase reduction on the device: kChunks partials (whose write the
+  // partial kernel declares on top of the kernel's cost), then one work
+  // item combines them into d.results[slot].
+  const auto two_phase = [&](const char* label, StreamKernel kind,
+                             std::size_t slot, auto term) {
+    const gpusim::KernelLabelScope scope(label);
+    KernelCosts partial = bench::costs_for(kind, n);
+    partial.bytes_written += kChunks * sizeof(double);
+    (void)q.launch(gpusim::launch_1d(kChunks, 1), partial,
+                   [p = d.partials, n, term](const gpusim::WorkItem& it) {
+                     bench::chunk_partial(it.global_x(), n, p, term);
+                   });
+    (void)q.launch(gpusim::launch_1d(1, 1), combine_costs(),
+                   [p = d.partials, r = d.results + slot](
+                       const gpusim::WorkItem&) {
+                     double acc = 0.0;
+                     for (std::uint32_t i = 0; i < kChunks; ++i) acc += p[i];
+                     *r = acc;
+                   });
+  };
 
-  d.q->begin_capture(d.graph);
-  {
-    gpusim::KernelLabelScope label("Copy");
-    (void)d.q->launch(cfg, elementwise_costs(StreamKernel::Copy, n),
-                      [a = d.a, c = d.c, n](const gpusim::WorkItem& it) {
-                        const std::size_t i = it.global_x();
-                        if (i < n) c[i] = a[i];
-                      });
-  }
-  {
-    gpusim::KernelLabelScope label("Mul");
-    (void)d.q->launch(cfg, elementwise_costs(StreamKernel::Mul, n),
-                      [b = d.b, c = d.c, n](const gpusim::WorkItem& it) {
-                        const std::size_t i = it.global_x();
-                        if (i < n) b[i] = bench::kScalar * c[i];
-                      });
-  }
-  {
-    gpusim::KernelLabelScope label("Add");
-    (void)d.q->launch(cfg, elementwise_costs(StreamKernel::Add, n),
-                      [a = d.a, b = d.b, c = d.c,
-                       n](const gpusim::WorkItem& it) {
-                        const std::size_t i = it.global_x();
-                        if (i < n) c[i] = a[i] + b[i];
-                      });
-  }
-  {
-    gpusim::KernelLabelScope label("Triad");
-    (void)d.q->launch(cfg, elementwise_costs(StreamKernel::Triad, n),
-                      [a = d.a, b = d.b, c = d.c,
-                       n](const gpusim::WorkItem& it) {
-                        const std::size_t i = it.global_x();
-                        if (i < n) a[i] = b[i] + bench::kScalar * c[i];
-                      });
-  }
-  {
-    gpusim::KernelLabelScope label("Dot");
-    (void)d.q->launch(chunk_cfg, elementwise_costs(StreamKernel::Dot, n),
-                      [a = d.a, b = d.b, p = d.partials, n,
-                       chunk](const gpusim::WorkItem& it) {
-                        const std::size_t cidx = it.global_x();
-                        if (cidx >= kChunks) return;
-                        const std::size_t begin = cidx * chunk;
-                        const std::size_t end = std::min(n, begin + chunk);
-                        double acc = 0.0;
-                        for (std::size_t i = begin; i < end; ++i) {
-                          acc += a[i] * b[i];
-                        }
-                        p[cidx] = acc;
-                      });
-    (void)d.q->launch(one_cfg, combine_costs(),
-                      [p = d.partials, r = d.results](const gpusim::WorkItem&) {
-                        double acc = 0.0;
-                        for (std::uint32_t i = 0; i < kChunks; ++i) {
-                          acc += p[i];
-                        }
-                        r[0] = acc;
-                      });
-  }
-  {
-    gpusim::KernelLabelScope label("Reduce");
-    (void)d.q->launch(chunk_cfg, elementwise_costs(StreamKernel::Reduce, n),
-                      [a = d.a, p = d.partials, n,
-                       chunk](const gpusim::WorkItem& it) {
-                        const std::size_t cidx = it.global_x();
-                        if (cidx >= kChunks) return;
-                        const std::size_t begin = cidx * chunk;
-                        const std::size_t end = std::min(n, begin + chunk);
-                        double acc = 0.0;
-                        for (std::size_t i = begin; i < end; ++i) {
-                          acc += a[i] * a[i];
-                        }
-                        p[cidx] = acc;
-                      });
-    (void)d.q->launch(one_cfg, combine_costs(),
-                      [p = d.partials, r = d.results](const gpusim::WorkItem&) {
-                        double acc = 0.0;
-                        for (std::uint32_t i = 0; i < kChunks; ++i) {
-                          acc += p[i];
-                        }
-                        r[1] = acc;
-                      });
-  }
-  {
-    gpusim::KernelLabelScope label("Uneven");
-    (void)d.q->launch(cfg, elementwise_costs(StreamKernel::Uneven, n),
-                      [a = d.a, c = d.c, n](const gpusim::WorkItem& it) {
-                        const std::size_t i = it.global_x();
-                        if (i >= n) return;
-                        const std::size_t start =
-                            i - (i % bench::kUnevenTile);
-                        double acc = 0.0;
-                        for (std::size_t j = start; j <= i; ++j) {
-                          acc += a[j];
-                        }
-                        c[i] = acc;
-                      });
-  }
-  (void)d.q->end_capture();
-  d.exec.emplace_back(d.graph, *d.q);
-}
-
-/// Scalar model of the per-device suite after `reps` repetitions (every
-/// element of a device evolves identically; all devices run identical
-/// data). Mirrors the eager campaign's verifier.
-struct ScalarModel {
-  double va{bench::kInitA};
-  double vb{bench::kInitB};
-  double dot{0};
-  double reduce{0};
-
-  explicit ScalarModel(std::size_t n, int reps) {
-    double vc = bench::kInitC;
-    for (int r = 0; r < reps; ++r) {
-      vc = va;
-      vb = bench::kScalar * vc;
-      vc = va + vb;
-      va = vb + bench::kScalar * vc;
-    }
-    dot = va * vb * static_cast<double>(n);
-    reduce = va * va * static_cast<double>(n);
-  }
-};
-
-[[nodiscard]] bool close(double x, double y, double tol) {
-  const double scale = std::max({std::fabs(x), std::fabs(y), 1e-30});
-  return std::fabs(x - y) / scale < tol;
+  q.begin_capture(d.graph);
+  bench::launch_elements<&Arrays::copy>(q, "Copy", StreamKernel::Copy, s, n);
+  bench::launch_elements<&Arrays::mul>(q, "Mul", StreamKernel::Mul, s, n);
+  bench::launch_elements<&Arrays::add>(q, "Add", StreamKernel::Add, s, n);
+  bench::launch_elements<&Arrays::triad>(q, "Triad", StreamKernel::Triad, s,
+                                         n);
+  two_phase("Dot", StreamKernel::Dot, 0,
+            [s](std::size_t i) { return s.dot_term(i); });
+  two_phase("Reduce", StreamKernel::Reduce, 1,
+            [s](std::size_t i) { return s.reduce_term(i); });
+  bench::launch_elements<&Arrays::uneven>(q, "Uneven", StreamKernel::Uneven,
+                                          s, n);
+  (void)q.end_capture();
+  d.exec.emplace_back(d.graph, q);
 }
 
 [[nodiscard]] WeakScalingSample run_scenario(Vendor vendor, unsigned count,
@@ -288,18 +143,10 @@ struct ScalarModel {
   // profiler capture below so the roofline shares contain exactly the
   // folded graph-replay attribution.
   for (ScenarioDevice& d : devs) {
-    gpusim::KernelLabelScope label("Init");
-    (void)d.q->launch(gpusim::launch_1d(n, 256),
-                      elementwise_costs(bench::StreamKernel::Copy, n),
-                      [a = d.a, b = d.b, c = d.c,
-                       n](const gpusim::WorkItem& it) {
-                        const std::size_t i = it.global_x();
-                        if (i < n) {
-                          a[i] = bench::kInitA;
-                          b[i] = bench::kInitB;
-                          c[i] = bench::kInitC;
-                        }
-                      });
+    using Arrays = bench::StreamArrays<double*>;
+    bench::launch_elements<&Arrays::init>(*d.q, "Init",
+                                          bench::StreamKernel::Copy,
+                                          Arrays{d.a, d.b, d.c}, n);
     capture_suite(d, n);
   }
   sample.graph_nodes = devs[0].exec.front().node_count();
@@ -330,7 +177,6 @@ struct ScalarModel {
 
   // Verify: device 0's arrays against the scalar recurrence, and every
   // device's gathered Dot/Reduce values.
-  const ScalarModel model(n, cfg.reps);
   std::vector<double> a(n), b(n), c(n), totals(2 * count);
   (void)devs[0].q->memcpy(a.data(), devs[0].a, n * sizeof(double),
                           gpusim::CopyKind::DeviceToHost);
@@ -341,16 +187,7 @@ struct ScalarModel {
   (void)devs[0].q->memcpy(totals.data(), gather,
                           2 * count * sizeof(double),
                           gpusim::CopyKind::DeviceToHost);
-  bool ok = true;
-  for (std::size_t i = 0; i < n && ok; ++i) {
-    const double span = static_cast<double>(i % bench::kUnevenTile + 1);
-    ok = close(a[i], model.va, 1e-8) && close(b[i], model.vb, 1e-8) &&
-         close(c[i], span * model.va, 1e-8);
-  }
-  for (unsigned d = 0; d < count && ok; ++d) {
-    ok = close(totals[2 * d], model.dot, 1e-6) &&
-         close(totals[2 * d + 1], model.reduce, 1e-6);
-  }
+  const bool ok = bench::verify_suite(a, b, c, totals, n, cfg.reps);
   sample.verified = ok;
 
   // Per-device roofline shares from the folded graph-replay attribution.

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <map>
 
+#include "bench_support/stream_kernels.hpp"
 #include "models/stdparx/stdparx.hpp"
 
 namespace mcmm::bench {
@@ -39,7 +42,100 @@ TEST(StreamVerify, AcceptsCorrectEvolution) {
   EXPECT_FALSE(verify_stream(bad, b, c, va * vb * 100, 100, 4));
 }
 
+TEST(StreamBytes, AreTheDeclaredCostsTraffic) {
+  for (const StreamKernel k :
+       {StreamKernel::Copy, StreamKernel::Mul, StreamKernel::Add,
+        StreamKernel::Triad, StreamKernel::Dot, StreamKernel::Reduce,
+        StreamKernel::Uneven}) {
+    EXPECT_EQ(stream_bytes(k, 4099), costs_for(k, 4099).total_bytes())
+        << to_string(k);
+  }
+  // Uneven reads 1+2+...+16 per full tile and writes every element.
+  EXPECT_EQ(stream_bytes(StreamKernel::Uneven, 32), (2 * 136 + 32) * 8.0);
+}
+
+TEST(StreamVerify, SuiteChecksTileSumsInCAndEveryTotalPair) {
+  constexpr std::size_t n = 40;
+  const StreamScalars v = stream_scalars(3);
+  std::vector<double> a(n, v.a), b(n, v.b), c(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    c[i] = static_cast<double>(i % kUnevenTile + 1) * v.a;
+  }
+  const double nd = static_cast<double>(n);
+  const double dot = v.a * v.b * nd, reduce = v.a * v.a * nd;
+  EXPECT_TRUE(verify_suite(a, b, c, {dot, reduce, dot, reduce}, n, 3));
+  EXPECT_FALSE(verify_suite(a, b, c, {dot, reduce, dot, 0.0}, n, 3));
+  EXPECT_FALSE(verify_suite(a, b, c, {dot, reduce}, n, 2));
+  c[17] = v.a;  // a classic-cycle c, not the tile sum
+  EXPECT_FALSE(verify_suite(a, b, c, {dot, reduce}, n, 3));
+}
+
+/// Arrays and sums after `reps` rounds of the full seven-kernel cycle,
+/// driven the way the perfport campaign drives a route.
+struct CycleResult {
+  std::vector<double> a, b, c;
+  double dot{}, reduce{};
+};
+
+[[nodiscard]] CycleResult run_cycle(StreamBenchmark& bench, std::size_t n,
+                                    int reps) {
+  CycleResult r;
+  bench.alloc(n);
+  bench.init_arrays();
+  for (int rep = 0; rep < reps; ++rep) {
+    bench.copy();
+    bench.mul();
+    bench.add();
+    bench.triad();
+    r.dot = bench.dot();
+    r.reduce = bench.reduce();
+    bench.uneven();
+  }
+  bench.read_arrays(r.a, r.b, r.c);
+  return r;
+}
+
+[[nodiscard]] bool same_bits(const std::vector<double>& x,
+                             const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+/// Turns the roc-stdpar experiment on for the AMD pSTL route (as the
+/// campaign does) and restores it on scope exit.
+class RocStdparOn {
+ public:
+  RocStdparOn() : saved_(stdparx::roc_stdpar_enabled()) {
+    stdparx::enable_experimental_roc_stdpar(true);
+  }
+  ~RocStdparOn() { stdparx::enable_experimental_roc_stdpar(saved_); }
+
+ private:
+  bool saved_;
+};
+
 class StreamPerVendor : public ::testing::TestWithParam<Vendor> {};
+
+TEST_P(StreamPerVendor, EveryRouteComputesTheSameCycle) {
+  // 4099 leaves a tail in every split the routes make: 256-wide blocks,
+  // 64 reduction chunks, 16-element Uneven tiles.
+  constexpr std::size_t n = 4099;
+  const RocStdparOn roc;
+  const auto benches = stream_benchmarks_for(GetParam());
+  ASSERT_GE(benches.size(), 4u);
+  const CycleResult first = run_cycle(*benches.front(), n, kReps);
+  EXPECT_TRUE(verify_suite(first.a, first.b, first.c,
+                           {first.dot, first.reduce}, n, kReps));
+  for (std::size_t r = 1; r < benches.size(); ++r) {
+    SCOPED_TRACE(benches[r]->label() + " vs " + benches.front()->label());
+    const CycleResult got = run_cycle(*benches[r], n, kReps);
+    EXPECT_TRUE(same_bits(got.a, first.a));
+    EXPECT_TRUE(same_bits(got.b, first.b));
+    EXPECT_TRUE(same_bits(got.c, first.c));
+    EXPECT_NEAR(got.dot, first.dot, 1e-12 * std::fabs(first.dot));
+    EXPECT_NEAR(got.reduce, first.reduce, 1e-12 * std::fabs(first.reduce));
+  }
+}
 
 TEST_P(StreamPerVendor, AllRoutesVerify) {
   for (auto& bench : stream_benchmarks_for(GetParam())) {

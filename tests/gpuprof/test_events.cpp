@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -245,6 +246,31 @@ TEST_F(ProfilerEvents, EventCapCountsDropsInsteadOfGrowing) {
   EXPECT_EQ(trace.events.size(), 3u);
   EXPECT_EQ(trace.dropped, 2u);
   expect_well_formed(trace);
+}
+
+TEST_F(ProfilerEvents, QueueBuiltWhereAFreedOneLivedGetsItsOwnId) {
+  // Two queues at one address, one after the other: a timeline keyed by
+  // address would merge them into one row.
+  Device dev(tiny_test_device(1 << 20));
+  constexpr std::uint64_t n = 64;
+  auto* d = static_cast<std::uint32_t*>(dev.allocate(n * sizeof(std::uint32_t)));
+  std::optional<Queue> q;
+  const void* addresses[2] = {};
+  for (const void*& address : addresses) {
+    q.emplace(dev);
+    address = &*q;
+    q->launch(launch_1d(n, 64), KernelCosts{},
+              [d](const WorkItem& item) { d[item.global_x()] = 1; });
+    q.reset();
+  }
+  dev.deallocate(d);
+  ASSERT_EQ(addresses[0], addresses[1]);
+
+  const Trace trace = snapshot();
+  ASSERT_EQ(trace.events.size(), 2u);
+  // Dense ids in first-seen order.
+  EXPECT_EQ(trace.events[0].queue_id, 1u);
+  EXPECT_EQ(trace.events[1].queue_id, 2u);
 }
 
 }  // namespace

@@ -105,6 +105,25 @@ TEST(Queue, MemsetWritesDeviceMemory) {
   dev.deallocate(d);
 }
 
+TEST(Queue, ZeroLengthCopyAndFillTouchNothing) {
+  // An empty host vector hands in a null pointer with a zero length (a
+  // zero-length syclx buffer materializing does this); the copy must not
+  // reach libc's memcpy, whose pointers must be non-null even then.
+  Device dev(tiny_test_device(1 << 20));
+  Queue& q = dev.default_queue();
+  auto* d = static_cast<unsigned char*>(dev.allocate(64));
+  q.memset(d, 0xAB, 64);
+  const double before = q.simulated_time_us();
+  EXPECT_NO_THROW(q.memcpy(d, nullptr, 0, CopyKind::HostToDevice));
+  EXPECT_NO_THROW(q.memcpy(nullptr, d, 0, CopyKind::DeviceToHost));
+  EXPECT_NO_THROW(q.memset(d, 0, 0));
+  EXPECT_GT(q.simulated_time_us(), before);  // each op still pays latency
+  std::vector<unsigned char> back(64);
+  q.memcpy(back.data(), d, 64, CopyKind::DeviceToHost);
+  for (const unsigned char c : back) EXPECT_EQ(c, 0xAB);
+  dev.deallocate(d);
+}
+
 TEST(Queue, LaunchRunsEveryWorkItem) {
   Device dev(tiny_test_device(1 << 20));
   Queue& q = dev.default_queue();

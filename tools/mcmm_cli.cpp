@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_support/stream.hpp"
+#include "bench_support/stream_kernels.hpp"
 #include "core/claims.hpp"
 #include "core/diff.hpp"
 #include "gpuprof/gpuprof.hpp"
@@ -822,65 +823,24 @@ int cmd_graph(const std::vector<std::string>& args) {
   }
 
   try {
-    using gpusim::KernelCosts;
-    const auto cfg = gpusim::launch_1d(n, 256);
-    const double nd = static_cast<double>(n) * sizeof(double);
-    KernelCosts copy_c;
-    copy_c.bytes_read = nd;
-    copy_c.bytes_written = nd;
-    KernelCosts mul_c = copy_c;
-    mul_c.flops = static_cast<double>(n);
-    KernelCosts add_c;
-    add_c.bytes_read = 2 * nd;
-    add_c.bytes_written = nd;
-    add_c.flops = static_cast<double>(n);
-    KernelCosts triad_c = add_c;
-    triad_c.flops = 2.0 * static_cast<double>(n);
-
     // Submits init + the full reps cycle to `q` — either executing
     // eagerly or, with the queue in capture mode, recording the graph.
     const auto submit = [&](gpusim::Queue& q, double* a, double* b,
                             double* c) {
-      {
-        gpusim::KernelLabelScope label("Init");
-        (void)q.launch(cfg, copy_c, [=](const gpusim::WorkItem& it) {
-          const std::size_t i = it.global_x();
-          if (i < n) {
-            a[i] = bench::kInitA;
-            b[i] = bench::kInitB;
-            c[i] = bench::kInitC;
-          }
-        });
-      }
+      using bench::StreamKernel;
+      using Arrays = bench::StreamArrays<double*>;
+      const Arrays s{a, b, c};
+      bench::launch_elements<&Arrays::init>(q, "Init", StreamKernel::Copy, s,
+                                            n);
       for (int r = 0; r < reps; ++r) {
-        {
-          gpusim::KernelLabelScope label("Copy");
-          (void)q.launch(cfg, copy_c, [=](const gpusim::WorkItem& it) {
-            const std::size_t i = it.global_x();
-            if (i < n) c[i] = a[i];
-          });
-        }
-        {
-          gpusim::KernelLabelScope label("Mul");
-          (void)q.launch(cfg, mul_c, [=](const gpusim::WorkItem& it) {
-            const std::size_t i = it.global_x();
-            if (i < n) b[i] = bench::kScalar * c[i];
-          });
-        }
-        {
-          gpusim::KernelLabelScope label("Add");
-          (void)q.launch(cfg, add_c, [=](const gpusim::WorkItem& it) {
-            const std::size_t i = it.global_x();
-            if (i < n) c[i] = a[i] + b[i];
-          });
-        }
-        {
-          gpusim::KernelLabelScope label("Triad");
-          (void)q.launch(cfg, triad_c, [=](const gpusim::WorkItem& it) {
-            const std::size_t i = it.global_x();
-            if (i < n) a[i] = b[i] + bench::kScalar * c[i];
-          });
-        }
+        bench::launch_elements<&Arrays::copy>(q, "Copy", StreamKernel::Copy,
+                                              s, n);
+        bench::launch_elements<&Arrays::mul>(q, "Mul", StreamKernel::Mul, s,
+                                             n);
+        bench::launch_elements<&Arrays::add>(q, "Add", StreamKernel::Add, s,
+                                             n);
+        bench::launch_elements<&Arrays::triad>(q, "Triad",
+                                               StreamKernel::Triad, s, n);
       }
     };
 
