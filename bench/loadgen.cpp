@@ -708,6 +708,17 @@ int main(int argc, char** argv) {
     gateway =
         std::make_unique<mcmm::gateway::Gateway>(std::move(backends), cfg);
     gateway->start();
+    // A replica takes traffic only after its first successful probe; load
+    // starts once every replica has passed one.
+    const auto ready_by =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (gateway->registry().healthy_count() < opt.cluster) {
+      if (std::chrono::steady_clock::now() > ready_by) {
+        std::cerr << "loadgen: replicas never passed a health probe\n";
+        return 2;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
     opt.port = gateway->port();
     opt.host = "127.0.0.1";
     std::cout << "loadgen: started " << opt.cluster

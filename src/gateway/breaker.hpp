@@ -21,8 +21,8 @@ struct BreakerConfig {
 };
 
 /// Classic closed -> open -> half-open -> closed breaker over transport
-/// failures to one replica. Open fails fast (no connect attempt burns a
-/// worker); after the cooldown exactly one trial request is admitted —
+/// failures to one replica. Open fails fast (no connect attempt is
+/// made); after the cooldown exactly one trial request is admitted —
 /// its outcome closes or re-opens the breaker. Thread-safe; the critical
 /// sections are a few loads/stores under an uncontended mutex.
 class CircuitBreaker {

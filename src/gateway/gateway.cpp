@@ -75,7 +75,7 @@ bool Gateway::dispatch_async(const Request& req,
                              serve::ResponseToken token) {
   if (req.path == "/metrics" || req.path == "/gateway/healthz" ||
       req.path == "/gateway/replicas") {
-    return false;  // local routes answer synchronously on the worker
+    return false;  // local routes answer inline on the client's loop
   }
   budget_.on_request();
   const bool head = req.method == "HEAD";
@@ -91,7 +91,8 @@ bool Gateway::dispatch_async(const Request& req,
       config_.hedge_after_ms > 0 && req.method == "GET" && hedge_path;
   auto* task = new ProxyTask(*this, token, upstream_wire(req, request_id),
                              head, idempotent, hedgeable);
-  // All task state is loop-thread-only; hop there before touching it.
+  // All task state lives on loop 0 (with UpstreamConns); hop there before
+  // touching it. From a connection loop 0 owns, this queues without a wake.
   loop().post([task] { task->start(); });
   return true;
 }

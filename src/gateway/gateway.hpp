@@ -34,7 +34,7 @@ using serve::Response;
 struct GatewayConfig {
   std::string host{"127.0.0.1"};
   std::uint16_t port{8081};  ///< 0 picks an ephemeral port
-  unsigned threads{0};       ///< worker threads; 0 = min(hw concurrency, 8)
+  unsigned threads{0};       ///< event loops (threads); 0 = min(hw, 8)
   int backlog{1024};
   int request_timeout_ms{5000};
   int idle_timeout_ms{5000};
@@ -64,7 +64,8 @@ struct GatewayConfig {
 
 /// The reverse proxy. Client-side routes:
 ///   /metrics          gateway + upstream Prometheus families
-///   /gateway/healthz  aggregate fleet health (503 when no replica is up)
+///   /gateway/healthz  aggregate fleet health (503 until a replica has
+///                     passed a probe, and whenever none is up)
 ///   /gateway/replicas per-replica health/breaker/load/pid as JSON
 ///   anything else     proxied to a replica
 class Gateway : public serve::HttpListener {
@@ -82,9 +83,9 @@ class Gateway : public serve::HttpListener {
   Response handle_request(const Request& req,
                           const std::string& request_id) override;
   /// Proxied paths are taken async: the client connection parks while a
-  /// ProxyTask drives the upstream exchange on the readiness loop. Local
-  /// routes (/metrics, /gateway/*) decline and fall back to
-  /// handle_request() on the worker.
+  /// ProxyTask drives the upstream exchange on loop 0. Local routes
+  /// (/metrics, /gateway/*) decline and fall back to handle_request() on
+  /// the client connection's loop.
   bool dispatch_async(const Request& req, const std::string& request_id,
                       serve::ResponseToken token) override;
   void on_connection() noexcept override {
@@ -102,7 +103,7 @@ class Gateway : public serve::HttpListener {
   friend class ProxyTask;
   friend struct ProxyLeg;
 
-  /// Loop-thread-only connection accounting for one replica: cached idle
+  /// Loop-0-only connection accounting for one replica: cached idle
   /// keep-alive sockets, the count of every socket currently open against
   /// it (idle + leased + dialing), and legs parked for a free slot.
   struct UpstreamConns {
@@ -145,7 +146,7 @@ class Gateway : public serve::HttpListener {
   Balancer balancer_;
   RetryBudget budget_;
   GatewayMetrics metrics_;
-  std::vector<UpstreamConns> upstream_;  ///< loop-thread-only
+  std::vector<UpstreamConns> upstream_;  ///< loop 0 only
 };
 
 }  // namespace mcmm::gateway

@@ -130,7 +130,7 @@ std::string GatewayMetrics::prometheus_text(
 
   out +=
       "# HELP mcmm_gateway_replica_health Replica health "
-      "(1 healthy, 0.5 half-open, 0 ejected).\n"
+      "(1 healthy, 0.5 half-open, 0 ejected or starting).\n"
       "# TYPE mcmm_gateway_replica_health gauge\n";
   const std::int64_t now_ms = steady_now_ms();
   for (std::size_t i = 0; i < registry.size(); ++i) {
@@ -143,6 +143,7 @@ std::string GatewayMetrics::prometheus_text(
         value = "0.5";
         break;
       case ReplicaHealth::Ejected:
+      case ReplicaHealth::Starting:
         value = "0";
         break;
     }

@@ -1,16 +1,18 @@
 #pragma once
 // The event-driven upstream side of the mcmm gateway. One ProxyTask is the
 // state machine for one proxied client request: it lives entirely on the
-// gateway's readiness loop (DESIGN.md §3.3), so an upstream round-trip —
-// connect, send, await, retry, hedge — never parks a worker thread. The
-// client connection is held via the HttpListener async seam (ResponseToken)
-// and answered with complete_async() when one upstream leg wins.
+// gateway's loop 0 (DESIGN.md §3.3), so an upstream round-trip — connect,
+// send, await, retry, hedge — never parks a thread. The client connection
+// is held via the HttpListener async seam (ResponseToken) and answered with
+// complete_async() when one upstream leg wins.
 //
-// Threading contract: every ProxyTask/ProxyLeg method runs on the loop
-// thread. Gateway::dispatch_async (a worker thread) only allocates the task
-// and posts start(); from then on the loop owns it, and the task deletes
-// itself through a posted op after finish() (deferred one drain cycle so
-// stale events from the same epoll batch cannot touch a freed leg).
+// Threading contract: every ProxyTask/ProxyLeg method runs on loop 0's
+// thread. Gateway::dispatch_async (on the client connection's loop) only
+// allocates the task and posts start(); from then on loop 0 owns it, and
+// complete_async() carries the answer back to the client's loop. The task
+// deletes itself through a posted op after finish() (deferred one drain
+// cycle so stale events from the same epoll batch cannot touch a freed
+// leg).
 
 #include <cstdint>
 #include <optional>

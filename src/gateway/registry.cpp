@@ -36,6 +36,8 @@ const char* to_string(ReplicaHealth health) noexcept {
       return "ejected";
     case ReplicaHealth::HalfOpen:
       return "half-open";
+    case ReplicaHealth::Starting:
+      return "starting";
   }
   return "unknown";
 }
@@ -63,6 +65,9 @@ void ReplicaRegistry::record_probe(std::size_t i, bool success,
     r.pid.store(pid, std::memory_order_relaxed);
     switch (r.health.load(std::memory_order_relaxed)) {
       case ReplicaHealth::Healthy:
+        break;
+      case ReplicaHealth::Starting:
+        r.health.store(ReplicaHealth::Healthy, std::memory_order_relaxed);
         break;
       case ReplicaHealth::Ejected:
         // First sign of life: probation, not full traffic.
@@ -93,6 +98,7 @@ void ReplicaRegistry::record_probe(std::size_t i, bool success,
       ejections_total_.fetch_add(1, std::memory_order_relaxed);
       r.probe_failures = config_.eject_after;
       break;
+    case ReplicaHealth::Starting:
     case ReplicaHealth::Ejected:
       break;
   }

@@ -25,7 +25,15 @@ struct ReplicaEndpoint {
   std::uint16_t port{0};
 };
 
-enum class ReplicaHealth : std::uint8_t { Healthy, Ejected, HalfOpen };
+/// Starting: not yet answered a probe, so not eligible for picks (a replica
+/// may still be building its caches); its first successful probe admits
+/// it, and failures before that neither eject it nor count.
+enum class ReplicaHealth : std::uint8_t {
+  Starting,
+  Healthy,
+  Ejected,
+  HalfOpen
+};
 
 [[nodiscard]] const char* to_string(ReplicaHealth health) noexcept;
 
@@ -48,7 +56,7 @@ struct Replica {
   /// The replica's pid from /healthz (-1 until first successful probe).
   /// Fault injection (loadgen --fault) targets this.
   std::atomic<long> pid{-1};
-  std::atomic<ReplicaHealth> health{ReplicaHealth::Healthy};
+  std::atomic<ReplicaHealth> health{ReplicaHealth::Starting};
 
   // Prober-thread-only state (no concurrent access).
   int probe_failures{0};
@@ -89,6 +97,7 @@ class ReplicaRegistry {
   }
 
   /// Applies one probe outcome to replica `i`:
+  ///   Starting --first success-->                     Healthy
   ///   Healthy  --eject_after consecutive failures-->  Ejected
   ///   Ejected  --any success-->                       HalfOpen
   ///   HalfOpen --readmit_after consecutive successes--> Healthy

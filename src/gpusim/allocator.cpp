@@ -62,8 +62,9 @@ void* DeviceAllocator::allocate(std::size_t bytes, std::string_view origin) {
       static_cast<std::byte*>(std::malloc(padded_size(bytes) + 2 * guard));
   if (raw == nullptr) throw std::bad_alloc();
   if (guard != 0) {
-    std::memset(raw, kCanaryByte, guard);
-    std::memset(raw + guard + bytes, kCanaryByte, guard);
+    // The payload starts as canary bytes too: a read of memory nobody
+    // wrote sees the canary, never a previous owner's values.
+    std::memset(raw, kCanaryByte, padded_size(bytes) + 2 * guard);
   }
   std::byte* p = raw + guard;
   blocks_.emplace(p, Block{bytes, guard, next_id_++, std::string(origin)});

@@ -6,7 +6,8 @@
 //
 // Sanitizer support (gpusan memcheck/leakcheck): when guard bytes are
 // configured, each allocation is surrounded by canary-filled red zones that
-// are verified at queue sync points, on deallocate, and at device teardown;
+// are verified at queue sync points, on deallocate, and at device teardown,
+// and its payload starts canary-filled as well (and is re-filled at free);
 // every block additionally carries an origin tag and a monotonically
 // increasing allocation id so findings can name the offending allocation.
 // A bounded quarantine of recently freed blocks lets range checks attribute

@@ -5,7 +5,7 @@
 // and the header blocks of its 200 and its 304 — and served from the cache
 // afterwards: request handling on the hot path is a lookup plus an
 // If-None-Match comparison, answered by reference (Api::answer), safe to
-// call from any number of worker threads concurrently. POST /v1/plan is
+// call from any number of loop threads concurrently. POST /v1/plan is
 // computed per request: its body is read straight into a PlannerQuery, the
 // planner built at construction answers it from per-cell tables, and each
 // planned route's platform object, rendered once at construction, is

@@ -10,6 +10,12 @@
 #include <cstring>
 
 namespace mcmm::serve {
+namespace {
+
+/// The loop whose run() is executing on this thread, if any.
+thread_local EventLoop* t_running = nullptr;
+
+}  // namespace
 
 LoopStats snapshot(const LoopCounters& c) noexcept {
   LoopStats s;
@@ -26,34 +32,35 @@ LoopStats snapshot(const LoopCounters& c) noexcept {
 
 // --- TimerWheel ----------------------------------------------------------
 
-TimerWheel::TimerWheel() : slots_(kSlots) {
-  for (Slot& s : slots_) {
-    s.sentinel.next_ = &s.sentinel;
-    s.sentinel.prev_ = &s.sentinel;
-  }
-}
+TimerWheel::TimerWheel() = default;
 
 TimerWheel::~TimerWheel() = default;
 
-void TimerWheel::link(std::size_t slot, Timer& t) noexcept {
-  Timer& head = slots_[slot].sentinel;
-  t.next_ = head.next_;
-  t.prev_ = &head;
-  head.next_->prev_ = &t;
-  head.next_ = &t;
+void TimerWheel::link(std::size_t slot, Timer& t) {
+  if (!slots_) {
+    slots_ = std::make_unique<TimerLink[]>(kSlots);
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      slots_[i].next = &slots_[i];
+      slots_[i].prev = &slots_[i];
+    }
+  }
+  TimerLink& head = slots_[slot];
+  t.next = head.next;
+  t.prev = &head;
+  head.next->prev = &t;
+  head.next = &t;
   ++armed_;
 }
 
 void TimerWheel::unlink(Timer& t) noexcept {
-  t.prev_->next_ = t.next_;
-  t.next_->prev_ = t.prev_;
-  t.prev_ = nullptr;
-  t.next_ = nullptr;
+  t.prev->next = t.next;
+  t.next->prev = t.prev;
+  t.prev = nullptr;
+  t.next = nullptr;
   --armed_;
 }
 
-void TimerWheel::arm(Timer& t, std::int64_t now_ms,
-                     std::int64_t delay_ms) noexcept {
+void TimerWheel::arm(Timer& t, std::int64_t now_ms, std::int64_t delay_ms) {
   if (t.armed()) unlink(t);
   if (delay_ms < kTickMs) delay_ms = kTickMs;
   t.deadline_ms_ = now_ms + delay_ms;
@@ -79,25 +86,26 @@ void TimerWheel::advance(std::int64_t now_ms) {
     from = tick - static_cast<std::int64_t>(kSlots) + 1;
   }
   for (std::int64_t t = from; t <= tick; ++t) {
-    Timer& head = slots_[static_cast<std::size_t>(t) & (kSlots - 1)].sentinel;
+    TimerLink* head = &slots_[static_cast<std::size_t>(t) & (kSlots - 1)];
     // Collect expired entries first: on_fire may arm/cancel neighbours.
     Timer* expired = nullptr;
-    for (Timer* it = head.next_; it != &head;) {
-      Timer* next = it->next_;
+    for (TimerLink* link = head->next; link != head;) {
+      TimerLink* next = link->next;
+      auto* it = static_cast<Timer*>(link);
       // Tick granularity: a deadline inside the tick being visited fires
       // now (≤ one tick early) rather than waiting a full revolution.
       // Owners whose deadlines are lazy re-check and re-arm on fire.
       if (it->deadline_ms_ / kTickMs <= t) {
         unlink(*it);
-        it->next_ = expired;  // reuse next_ as a singly-linked ready list
+        it->next = expired;  // reuse next as a singly-linked ready list
         expired = it;
       }
-      it = next;
+      link = next;
     }
     while (expired != nullptr) {
       Timer* it = expired;
-      expired = it->next_;
-      it->next_ = nullptr;
+      expired = static_cast<Timer*>(it->next);
+      it->next = nullptr;
       if (it->on_fire) it->on_fire();
     }
   }
@@ -151,6 +159,10 @@ void EventLoop::post(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(ops_mu_);
     ops_.push_back(std::move(fn));
   }
+  if (t_running == this) {
+    self_posted_ = true;  // drained later in this iteration; no wake
+    return;
+  }
   wake();
 }
 
@@ -163,6 +175,7 @@ void EventLoop::wake() noexcept {
 }
 
 void EventLoop::drain_ops() {
+  self_posted_ = false;
   std::vector<std::function<void()>> batch;
   for (;;) {
     {
@@ -178,9 +191,14 @@ void EventLoop::drain_ops() {
 void EventLoop::run(const std::function<bool()>& should_exit) {
   constexpr int kMaxEvents = 256;
   epoll_event events[kMaxEvents];
+  EventLoop* const outer = t_running;
+  t_running = this;
   now_ms_ = steady_ms();
   for (;;) {
-    const int timeout = wheel_.armed_count() > 0 ? TimerWheel::kTickMs : -1;
+    int timeout = wheel_.armed_count() > 0 ? TimerWheel::kTickMs : -1;
+    // An op queued from this thread after the last drain (should_exit's
+    // own posts) must not wait for an unrelated event.
+    if (self_posted_) timeout = 0;
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout);
     counters_->wakeups_total.fetch_add(1, std::memory_order_relaxed);
     now_ms_ = steady_ms();
@@ -200,6 +218,7 @@ void EventLoop::run(const std::function<bool()>& should_exit) {
     drain_ops();  // timer callbacks may have posted follow-ups
     if (should_exit()) break;
   }
+  t_running = outer;
 }
 
 }  // namespace mcmm::serve

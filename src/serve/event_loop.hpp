@@ -2,19 +2,21 @@
 // The readiness core of the serving layer (DESIGN.md §3.2): one epoll(7)
 // instance, an eventfd wake channel, a cross-thread operation queue, and a
 // hashed timer wheel, packaged so HttpListener (and, through it, the
-// gateway's upstream legs) can multiplex tens of thousands of sockets on a
-// single loop thread.
+// gateway's upstream legs) can multiplex thousands of sockets on one loop
+// thread. A listener runs several of these, one per loop thread, each
+// owning its connections for life.
 //
 // Threading contract:
 //   - run() executes on exactly one thread ("the loop thread"). Handlers,
 //     timers, and posted operations all fire there; anything they touch
 //     without synchronisation is loop-thread-local by construction.
-//   - add()/mod()/del() wrap epoll_ctl(2), which is thread-safe, so worker
-//     threads re-arm their own EPOLLONESHOT registrations directly on the
-//     hot path without a loop hop.
+//   - add()/mod()/del() wrap epoll_ctl(2), which is thread-safe, so the
+//     accepting loop may register a socket another loop will own.
 //   - post() and wake() are safe from any thread; wake() is additionally
 //     async-signal-safe (a single write(2) on the eventfd), which is what
-//     lets a SIGTERM handler nudge the loop.
+//     lets a SIGTERM handler nudge the loop. A post() from the loop's own
+//     thread inside run() queues without the eventfd write: drain_ops runs
+//     after IO and after timers in the same iteration anyway.
 //
 // The timer wheel is intrusive: a Timer is embedded in its owner and links
 // itself into a slot's doubly-linked list, so arm/cancel are O(1) with no
@@ -24,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -35,7 +38,7 @@ struct LoopCounters {
   std::atomic<std::uint64_t> open_connections{0};   ///< live sockets (gauge)
   std::atomic<std::uint64_t> wakeups_total{0};      ///< epoll_wait returns
   std::atomic<std::uint64_t> accepts_total{0};      ///< accept4 successes
-  std::atomic<std::uint64_t> dispatches_total{0};   ///< ready-events handed off
+  std::atomic<std::uint64_t> dispatches_total{0};   ///< connection events run
   std::atomic<std::uint64_t> epollout_rearms_total{0};  ///< partial writes
   std::atomic<std::uint64_t> timer_evictions_total{0};  ///< wheel-expired conns
 };
@@ -63,23 +66,28 @@ class EpollHandler {
 
 class TimerWheel;
 
+/// A link of a circular doubly-linked list: the base of every Timer and
+/// the whole of a wheel slot's head.
+struct TimerLink {
+  TimerLink* prev{nullptr};
+  TimerLink* next{nullptr};
+};
+
 /// Intrusive timer-wheel node. Embed one per deadline; arm via
-/// TimerWheel::arm(). `on_timer` fires on the loop thread. An armed timer
+/// TimerWheel::arm(). `on_fire` fires on the loop thread. An armed timer
 /// MUST be cancelled before its owner is destroyed.
-class Timer {
+class Timer : private TimerLink {
  public:
   Timer() = default;
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  [[nodiscard]] bool armed() const noexcept { return prev_ != nullptr; }
+  [[nodiscard]] bool armed() const noexcept { return prev != nullptr; }
 
   std::function<void()> on_fire;  ///< set once by the owner before arming
 
  private:
   friend class TimerWheel;
-  Timer* prev_{nullptr};
-  Timer* next_{nullptr};
   std::int64_t deadline_ms_{0};
 };
 
@@ -87,6 +95,8 @@ class Timer {
 /// deadline beyond the horizon simply re-enters the wheel when its slot
 /// comes around (the fire check compares against the real deadline), so
 /// arbitrary delays are handled without a rounds counter on the hot path.
+/// The slot heads (16 KiB) are allocated at the first arm, so a loop that
+/// never holds a timer holds no wheel.
 class TimerWheel {
  public:
   static constexpr int kTickMs = 10;
@@ -100,7 +110,7 @@ class TimerWheel {
 
   /// (Re-)arms `t` to fire at now_ms + delay_ms (min one tick). Loop
   /// thread only.
-  void arm(Timer& t, std::int64_t now_ms, std::int64_t delay_ms) noexcept;
+  void arm(Timer& t, std::int64_t now_ms, std::int64_t delay_ms);
   /// Unlinks `t` if armed; idempotent. Loop thread only.
   void cancel(Timer& t) noexcept;
   /// Fires every timer whose deadline has passed. Loop thread only.
@@ -109,14 +119,10 @@ class TimerWheel {
   [[nodiscard]] std::size_t armed_count() const noexcept { return armed_; }
 
  private:
-  struct Slot {
-    Timer sentinel;  // circular list head; sentinel.prev_ == nullptr never
-  };
-
   void unlink(Timer& t) noexcept;
-  void link(std::size_t slot, Timer& t) noexcept;
+  void link(std::size_t slot, Timer& t);
 
-  std::vector<Slot> slots_;
+  std::unique_ptr<TimerLink[]> slots_;  // circular list heads, never empty
   std::int64_t last_tick_{0};
   std::size_t armed_{0};
 };
@@ -135,7 +141,9 @@ class EventLoop {
   void mod(int fd, EpollHandler* handler, std::uint32_t events) noexcept;
   void del(int fd) noexcept;
 
-  /// Enqueues `fn` to run on the loop thread and wakes it. Any thread.
+  /// Enqueues `fn` to run on the loop thread and wakes it. Any thread; on
+  /// the loop's own thread inside run() it skips the wake (the op runs in
+  /// this iteration's drain).
   void post(std::function<void()> fn);
   /// Wakes the loop without queueing work. Async-signal-safe.
   void wake() noexcept;
@@ -163,6 +171,7 @@ class EventLoop {
 
   std::mutex ops_mu_;
   std::vector<std::function<void()>> ops_;
+  bool self_posted_{false};  // loop thread only: an op queued without wake
 };
 
 }  // namespace mcmm::serve

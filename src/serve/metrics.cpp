@@ -156,8 +156,8 @@ std::string Metrics::prometheus_text() const {
         "mcmm_eventloop_accepts_total ";
     out += std::to_string(ls.accepts_total);
     out +=
-        "\n# HELP mcmm_eventloop_dispatches_total Ready events handed to "
-        "the parse/compute pool.\n"
+        "\n# HELP mcmm_eventloop_dispatches_total Connection readiness "
+        "events run by their loop.\n"
         "# TYPE mcmm_eventloop_dispatches_total counter\n"
         "mcmm_eventloop_dispatches_total ";
     out += std::to_string(ls.dispatches_total);

@@ -22,112 +22,45 @@
 namespace mcmm::serve {
 namespace {
 
-/// Per-dispatch read budget: a firehose client yields the worker after this
-/// many bytes (EPOLLONESHOT re-arm re-checks readiness, so nothing is lost).
+/// Per-event read budget: a firehose client yields its loop after this
+/// many bytes; an EPOLL_CTL_MOD re-polls readiness, so nothing is lost.
 constexpr std::size_t kReadBudget = 256 * 1024;
 /// Accepts per listener wakeup; level-triggered, so the event re-fires
 /// while the backlog is non-empty.
 constexpr int kAcceptBatch = 128;
-/// How many ready connections the loop thread itself processes between
-/// epoll waits (bounds timer latency under a worker stall).
-constexpr int kHelpBudget = 64;
+/// Connections a loop takes before placement moves on to the next loop:
+/// about the ready connections one loop thread serves per wakeup before a
+/// second thread pays for its wake-ups. Measured in EXPERIMENTS.md.
+constexpr std::size_t kLoopShare = 64;
+/// A client socket's registration for its whole life; EPOLLOUT joins it
+/// only while a response waits for buffer space.
+constexpr std::uint32_t kReadEvents = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
 enum ConnState : std::uint8_t {
-  kStReading,     // armed for EPOLLIN; owned by the loop/epoll
-  kStWriteArmed,  // armed for EPOLLOUT (partial response); owned by epoll
-  kStBusy,        // dispatched; owned by a worker or the loop inline
-  kStAsync,       // parked behind dispatch_async(); owned by the handler
-  kStClosing,     // close posted; the loop will reap it
+  kStReading,     // waiting for request bytes
+  kStWriteArmed,  // a partial response waits for EPOLLOUT
+  kStAsync,       // parked behind dispatch_async(); input waits for it
 };
 
 }  // namespace
 
-// --- DispatchQueue -------------------------------------------------------
-
-bool DispatchQueue::push(void* conn, bool notify) noexcept {
-  const std::uintptr_t value = reinterpret_cast<std::uintptr_t>(conn);
-  for (;;) {
-    if (closed_.load(std::memory_order_relaxed) && value != kPoison) {
-      return false;
-    }
-    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t h = head_.load(std::memory_order_acquire);
-    if (t - h >= kCapacity) {
-      head_.wait(h, std::memory_order_relaxed);
-      continue;
-    }
-    ring_[t % kCapacity].store(value, std::memory_order_relaxed);
-    tail_.store(t + 1, std::memory_order_release);
-    // Waking on the was-empty transition alone would lose wakeups here:
-    // silent pushes leave the ring non-empty with every consumer asleep,
-    // so a later notifying push must wake unconditionally. Elision is the
-    // caller's explicit choice via notify=false, never an inference.
-    if (notify) tail_.notify_all();
-    return true;
-  }
-}
-
-void* DispatchQueue::pop() noexcept {
-  for (;;) {
-    std::uint64_t h = head_.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail_.load(std::memory_order_acquire);
-    if (h == t) {
-      tail_.wait(t, std::memory_order_relaxed);
-      continue;
-    }
-    // Read before claiming: on CAS failure another consumer owns the slot
-    // and this value is discarded; the slot itself is an atomic, so a
-    // concurrent producer wrap-around is not a data race.
-    const std::uintptr_t value =
-        ring_[h % kCapacity].load(std::memory_order_relaxed);
-    if (head_.compare_exchange_weak(h, h + 1, std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-      // A producer only blocks on a full ring, waiting on the current head
-      // value; wake it just when this pop made the first space.
-      if (t - h == kCapacity) head_.notify_all();
-      return value == kPoison ? nullptr : reinterpret_cast<void*>(value);
-    }
-  }
-}
-
-void* DispatchQueue::try_pop() noexcept {
-  for (;;) {
-    std::uint64_t h = head_.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail_.load(std::memory_order_acquire);
-    if (h == t) return nullptr;
-    const std::uintptr_t value =
-        ring_[h % kCapacity].load(std::memory_order_relaxed);
-    if (value == kPoison) return nullptr;  // leave sentinels for waiters
-    if (head_.compare_exchange_weak(h, h + 1, std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-      if (t - h == kCapacity) head_.notify_all();
-      return reinterpret_cast<void*>(value);
-    }
-  }
-}
-
-void DispatchQueue::close(std::size_t consumers) noexcept {
-  closed_.store(true, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < consumers; ++i) {
-    push(reinterpret_cast<void*>(kPoison));
-  }
-}
-
 // --- Connection ----------------------------------------------------------
 
-/// One accepted socket. Ownership moves between the loop (armed in epoll,
-/// timer checks) and a parse/compute worker (dispatched) through the
-/// `state` atomic; the fd is only ever closed on the loop thread, so a
-/// worker holding a Connection* can never observe its fd reused.
+/// One accepted socket, owned for life by one loop: every field is touched
+/// only on that loop's thread, except `loop` and `epoch`, which never
+/// change after construction.
 struct HttpListener::Connection final : EpollHandler {
-  Connection(HttpListener* listener_, int fd_, const Limits& limits)
-      : listener(listener_), fd(fd_), parser(limits) {}
+  Connection(HttpListener* listener_, Loop* loop_, int fd_,
+             const Limits& limits)
+      : listener(listener_), loop(loop_), fd(fd_), parser(limits) {}
 
   HttpListener* listener;
+  Loop* loop;
   int fd;
-  std::atomic<std::uint8_t> state{kStBusy};
-  std::atomic<std::int64_t> last_activity{0};
-  bool write_phase{false};  // dispatch payload, synchronised by the ring
+  ConnState state{kStReading};
+  std::int64_t last_activity{0};  // loop ms of the last byte either way
+  Connection* prev{nullptr};      // the owning loop's connection list
+  Connection* next{nullptr};
   RequestParser parser;
   // The response in flight, sent as one gather write of up to three
   // segments: a pre-rendered header block, `outbuf` (the header section, or
@@ -148,10 +81,21 @@ struct HttpListener::Connection final : EpollHandler {
   Timer timer;
 
   void on_io(std::uint32_t /*events*/) override {
-    const std::uint8_t st = state.load(std::memory_order_relaxed);
-    if (st != kStReading && st != kStWriteArmed) return;  // late/spurious
-    listener->dispatch(this, st == kStWriteArmed);
+    listener->on_connection_event(this);
   }
+};
+
+/// One event loop, its thread, and the connections it owns.
+struct HttpListener::Loop {
+  explicit Loop(LoopCounters* counters) : ev(counters) {}
+
+  EventLoop ev;
+  std::thread thread;  // started by loop 0 (or start()); joined by join()
+  /// Connections placed here and not yet closed: raised by loop 0 at
+  /// placement, lowered by this loop at close.
+  std::atomic<std::size_t> owned{0};
+  Connection* conns{nullptr};  // this loop's thread only
+  bool drain_swept{false};     // this loop's thread only
 };
 
 struct HttpListener::AcceptHandler final : EpollHandler {
@@ -163,7 +107,16 @@ struct HttpListener::AcceptHandler final : EpollHandler {
 // --- HttpListener --------------------------------------------------------
 
 HttpListener::HttpListener(ListenerConfig config)
-    : config_(std::move(config)), loop_(&counters_) {}
+    : config_(std::move(config)) {
+  unsigned loops = config_.threads;
+  if (loops == 0) {
+    loops = std::clamp(std::thread::hardware_concurrency(), 1u, 8u);
+  }
+  loops_.reserve(loops);
+  for (unsigned i = 0; i < loops; ++i) {
+    loops_.push_back(std::make_unique<Loop>(&counters_));
+  }
+}
 
 HttpListener::~HttpListener() {
   // Derived destructors already ran shutdown()+join(); this is the
@@ -191,7 +144,6 @@ void HttpListener::start() {
   // Headroom for the listener, epoll, eventfd, upstream legs, and stdio.
   max_connections_ = table > 192 ? table - 64 : std::max<std::size_t>(
                                                     table / 2, 16);
-  conn_table_.assign(table, nullptr);
   if (config_.log_fd_limit) {
     std::fprintf(stderr,
                  "[serve] RLIMIT_NOFILE soft=%zu; accepting up to %zu "
@@ -231,40 +183,41 @@ void HttpListener::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   bound_port_ = ntohs(bound.sin_port);
 
+  EventLoop& acceptor = loop();
   accept_handler_ = std::make_unique<AcceptHandler>(this);
   accept_resume_timer_.on_fire = [this] {
     if (!accept_paused_) return;
-    if (conn_count_ < max_connections_) {
+    if (counters_.open_connections.load(std::memory_order_relaxed) <
+        max_connections_) {
       resume_accept();
     } else {
-      loop_.wheel().arm(accept_resume_timer_, loop_.now_ms(), 100);
+      loop().wheel().arm(accept_resume_timer_, loop().now_ms(), 100);
     }
   };
-  loop_.add(listen_fd_, accept_handler_.get(), EPOLLIN);
-
-  unsigned threads = config_.threads;
-  if (threads == 0) {
-    threads = std::min(std::max(std::thread::hardware_concurrency(), 2u), 8u);
-  }
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
-  loop_thread_ = std::thread([this] { loop_main(); });
+  acceptor.add(listen_fd_, accept_handler_.get(), EPOLLIN);
+  start_thread(*loops_.front());
   started_ = true;
 }
 
+void HttpListener::start_thread(Loop& l) {
+  loops_started_.fetch_add(1, std::memory_order_relaxed);
+  loops_running_.fetch_add(1);
+  l.thread = std::thread([this, &l] { loop_main(l); });
+}
+
 void HttpListener::shutdown() noexcept {
-  stop_.store(true, std::memory_order_relaxed);
-  loop_.wake();  // async-signal-safe: one write(2) on the eventfd
+  stop_.store(true);
+  // async-signal-safe: one write(2) per eventfd
+  for (const std::unique_ptr<Loop>& l : loops_) l->ev.wake();
 }
 
 void HttpListener::join() {
   if (!started_) return;
-  loop_thread_.join();
-  queue_.close(workers_.size());
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
+  // Loop 0 exits last (it hosts the acceptor and the gateway's upstream
+  // legs), so once it is joined every other loop has left run() too.
+  for (const std::unique_ptr<Loop>& l : loops_) {
+    if (l->thread.joinable()) l->thread.join();
+  }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -277,62 +230,71 @@ void HttpListener::run() {
   join();
 }
 
-void HttpListener::loop_main() {
-  loop_.run([this] {
-    if (stop_.load(std::memory_order_relaxed) && !drain_swept_) {
-      drain_sweep();
-    }
-    help_workers();
-    silent_dispatches_ = 0;
-    return stop_.load(std::memory_order_relaxed) && conn_count_ == 0;
-  });
-}
+EventLoop& HttpListener::loop() noexcept { return loops_.front()->ev; }
 
-void HttpListener::worker_main() {
-  for (;;) {
-    void* p = queue_.pop();
-    if (p == nullptr) break;
-    process(static_cast<Connection*>(p));
+std::vector<std::size_t> HttpListener::loop_connections() const {
+  std::vector<std::size_t> out(loops_started());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = loops_[i]->owned.load(std::memory_order_relaxed);
   }
+  return out;
 }
 
-void HttpListener::help_workers() {
-  // On a single-core host the workers rarely get scheduled between epoll
-  // waits; the loop draining its own ring keeps the hot path free of
-  // cross-thread hand-off latency. Bounded so timers and accepts cannot
-  // starve behind a long ready burst.
-  for (int i = 0; i < kHelpBudget; ++i) {
-    void* p = queue_.try_pop();
-    if (p == nullptr) return;
-    process(static_cast<Connection*>(p));
+void HttpListener::loop_main(Loop& l) {
+  Loop& acceptor = *loops_.front();
+  l.ev.run([this, &l, &acceptor] {
+    if (!stop_.load()) return false;
+    if (!l.drain_swept) drain_sweep(l);
+    if (l.owned.load() != 0) return false;
+    return &l != &acceptor || loops_running_.load() == 1;
+  });
+  if (&l != &acceptor) {
+    loops_running_.fetch_sub(1);
+    acceptor.ev.wake();
   }
 }
 
 void HttpListener::pause_accept() noexcept {
   if (accept_paused_ || listen_fd_ < 0) return;
   accept_paused_ = true;
-  loop_.del(listen_fd_);
-  loop_.wheel().arm(accept_resume_timer_, loop_.now_ms(), 100);
+  loop().del(listen_fd_);
+  loop().wheel().arm(accept_resume_timer_, loop().now_ms(), 100);
   static std::atomic<bool> warned{false};
   if (!warned.exchange(true, std::memory_order_relaxed)) {
     std::fprintf(stderr,
                  "[serve] connection ceiling reached (%zu live); pausing "
                  "accepts until connections close\n",
-                 conn_count_);
+                 static_cast<std::size_t>(counters_.open_connections.load(
+                     std::memory_order_relaxed)));
   }
 }
 
 void HttpListener::resume_accept() noexcept {
   if (!accept_paused_ || listen_fd_ < 0) return;
   accept_paused_ = false;
-  loop_.wheel().cancel(accept_resume_timer_);
-  loop_.add(listen_fd_, accept_handler_.get(), EPOLLIN);
+  loop().wheel().cancel(accept_resume_timer_);
+  loop().add(listen_fd_, accept_handler_.get(), EPOLLIN);
+}
+
+HttpListener::Loop& HttpListener::place() noexcept {
+  Loop* fewest = nullptr;
+  std::size_t fewest_owned = 0;
+  for (const std::unique_ptr<Loop>& l : loops_) {
+    const std::size_t owned = l->owned.load(std::memory_order_relaxed);
+    if (owned < kLoopShare) return *l;
+    if (fewest == nullptr || owned < fewest_owned) {
+      fewest = l.get();
+      fewest_owned = owned;
+    }
+  }
+  return *fewest;
 }
 
 void HttpListener::accept_ready() {
   static const bool nodelay = std::getenv("MCMM_NO_NODELAY") == nullptr;
   for (int i = 0; i < kAcceptBatch; ++i) {
-    if (conn_count_ >= max_connections_) {
+    if (counters_.open_connections.load(std::memory_order_relaxed) >=
+        max_connections_) {
       pause_accept();
       return;
     }
@@ -347,8 +309,12 @@ void HttpListener::accept_ready() {
       }
       return;  // EAGAIN (drained) or the listener is gone
     }
-    if (static_cast<std::size_t>(fd) >= conn_table_.size() ||
-        stop_.load(std::memory_order_relaxed)) {
+    Loop& l = place();
+    // Counted before the stop check (both sequentially consistent): a loop
+    // that sees stop_ and then owned == 0 can never be handed this socket.
+    l.owned.fetch_add(1);
+    if (stop_.load()) {
+      l.owned.fetch_sub(1);
       ::close(fd);
       continue;
     }
@@ -358,35 +324,48 @@ void HttpListener::accept_ready() {
     }
     counters_.accepts_total.fetch_add(1, std::memory_order_relaxed);
     counters_.open_connections.fetch_add(1, std::memory_order_relaxed);
-    auto* c = new Connection(this, fd, config_.limits);
-    c->epoch = next_epoch_++;
-    conn_table_[fd] = c;
-    ++conn_count_;
-    on_connection();
-    const std::int64_t now = loop_.now_ms();
-    c->last_activity.store(now, std::memory_order_relaxed);
-    c->timer.on_fire = [this, c] { conn_timer_fired(c); };
-    loop_.wheel().arm(c->timer, now, config_.idle_timeout_ms);
-    c->state.store(kStReading, std::memory_order_release);
-    loop_.add(fd, c, EPOLLIN | EPOLLRDHUP | EPOLLET | EPOLLONESHOT);
+    if (&l == loops_.front().get()) {
+      adopt(l, fd);
+      continue;
+    }
+    if (!l.thread.joinable()) start_thread(l);
+    l.ev.post([this, &l, fd] { adopt(l, fd); });
   }
 }
 
-void HttpListener::dispatch(Connection* c, bool write_phase) noexcept {
-  c->write_phase = write_phase;
-  c->state.store(kStBusy, std::memory_order_relaxed);
+void HttpListener::adopt(Loop& l, int fd) {
+  if (stop_.load(std::memory_order_relaxed)) {  // placed during drain
+    ::close(fd);
+    release(l);
+    return;
+  }
+  auto* c = new Connection(this, &l, fd, config_.limits);
+  c->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
+  c->next = l.conns;
+  if (l.conns != nullptr) l.conns->prev = c;
+  l.conns = c;
+  on_connection();
+  const std::int64_t now = l.ev.now_ms();
+  c->last_activity = now;
+  c->timer.on_fire = [this, c] { conn_timer_fired(c); };
+  l.ev.wheel().arm(c->timer, now, config_.idle_timeout_ms);
+  l.ev.add(fd, c, kReadEvents);
+}
+
+void HttpListener::release(Loop& l) noexcept {
+  l.owned.fetch_sub(1);
+  counters_.open_connections.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void HttpListener::on_connection_event(Connection* c) {
+  // A parked request's input waits for the answer; the read after it
+  // drains the socket, so this edge is not lost.
+  if (c->state == kStAsync) return;
   counters_.dispatches_total.fetch_add(1, std::memory_order_relaxed);
-  // dispatch() only runs on the loop thread, and help_workers() drains up
-  // to kHelpBudget entries later in the same loop iteration — so the first
-  // kHelpBudget dispatches per iteration skip the worker wake entirely.
-  // Beyond that the burst exceeds what the loop will drain itself and the
-  // workers must be woken. (The ring's release/acquire publishes the
-  // connection fields set above either way.)
-  if (silent_dispatches_ < kHelpBudget) {
-    ++silent_dispatches_;
-    queue_.push(c, /*notify=*/false);
+  if (c->state == kStWriteArmed) {
+    resume_write(c);
   } else {
-    queue_.push(c);
+    process_input(c);
   }
 }
 
@@ -413,6 +392,7 @@ HttpListener::WriteResult HttpListener::flush_out(Connection* c) noexcept {
     const ssize_t n = ::sendmsg(c->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       c->outoff += static_cast<std::size_t>(n);
+      c->last_activity = c->loop->ev.now_ms();
       continue;
     }
     if (errno == EINTR) continue;
@@ -421,124 +401,104 @@ HttpListener::WriteResult HttpListener::flush_out(Connection* c) noexcept {
   }
 }
 
-void HttpListener::rearm_read(Connection* c) noexcept {
-  // last_activity is refreshed before the state store: a wheel tick is at
-  // least 10 ms, so the eviction check can never fire inside the window
-  // between the store and the epoll_ctl re-arm.
-  c->last_activity.store(EventLoop::steady_ms(), std::memory_order_relaxed);
-  c->state.store(kStReading, std::memory_order_release);
-  loop_.mod(c->fd, c, EPOLLIN | EPOLLRDHUP | EPOLLET | EPOLLONESHOT);
-}
-
-void HttpListener::rearm_write(Connection* c) noexcept {
-  c->last_activity.store(EventLoop::steady_ms(), std::memory_order_relaxed);
-  c->state.store(kStWriteArmed, std::memory_order_release);
+void HttpListener::await_write(Connection* c) noexcept {
+  c->state = kStWriteArmed;
   counters_.epollout_rearms_total.fetch_add(1, std::memory_order_relaxed);
-  loop_.mod(c->fd, c, EPOLLOUT | EPOLLET | EPOLLONESHOT);
+  c->loop->ev.mod(c->fd, c, kReadEvents | EPOLLOUT);
 }
 
-void HttpListener::post_close(Connection* c) {
-  c->state.store(kStClosing, std::memory_order_release);
-  loop_.post([this, c] { close_connection(c); });
+void HttpListener::resume_write(Connection* c) {
+  switch (flush_out(c)) {
+    case WriteResult::Pending:
+      return;  // EPOLLOUT stays armed
+    case WriteResult::Closed:
+      close_connection(c);
+      return;
+    case WriteResult::Done:
+      c->loop->ev.mod(c->fd, c, kReadEvents);
+      if (after_write_done(c)) process_input(c);
+      return;
+  }
 }
 
 void HttpListener::close_connection(Connection* c) noexcept {
-  if (c->fd < 0 || conn_table_[static_cast<std::size_t>(c->fd)] != c) return;
-  loop_.wheel().cancel(c->timer);
-  loop_.del(c->fd);
+  Loop& l = *c->loop;
+  l.ev.wheel().cancel(c->timer);
+  l.ev.del(c->fd);
   ::close(c->fd);
-  conn_table_[static_cast<std::size_t>(c->fd)] = nullptr;
-  --conn_count_;
-  counters_.open_connections.fetch_sub(1, std::memory_order_relaxed);
+  if (c->prev != nullptr) {
+    c->prev->next = c->next;
+  } else {
+    l.conns = c->next;
+  }
+  if (c->next != nullptr) c->next->prev = c->prev;
   if (c->request_open) {
     c->request_open = false;
     on_request_end();
   }
   delete c;
-  if (accept_paused_ && !stop_.load(std::memory_order_relaxed) &&
-      conn_count_ < max_connections_) {
+  release(l);
+  if (&l == loops_.front().get() && accept_paused_ &&
+      !stop_.load(std::memory_order_relaxed) &&
+      counters_.open_connections.load(std::memory_order_relaxed) <
+          max_connections_) {
     resume_accept();
   }
 }
 
 void HttpListener::conn_timer_fired(Connection* c) {
-  const std::uint8_t st = c->state.load(std::memory_order_acquire);
-  const std::int64_t now = loop_.now_ms();
-  if (st == kStReading) {
-    const bool mid = c->parser.mid_request();
-    const std::int64_t timeout =
-        std::max(mid ? config_.request_timeout_ms : config_.idle_timeout_ms, 1);
-    const std::int64_t due =
-        c->last_activity.load(std::memory_order_relaxed) + timeout;
-    if (now >= due) {
-      counters_.timer_evictions_total.fetch_add(1, std::memory_order_relaxed);
-      if (mid) {
-        // The peer stalled mid-request: answer 408 best-effort, then close.
-        on_request_done(408, 0);
-        const std::string wire = serialize_response(
-            error_response(408, "request timed out"), false, false);
-        [[maybe_unused]] const ssize_t n =
-            ::send(c->fd, wire.data(), wire.size(), MSG_NOSIGNAL);
-      }
-      close_connection(c);
-      return;
-    }
-    loop_.wheel().arm(c->timer, now, due - now);
-  } else if (st == kStWriteArmed) {
+  EventLoop& ev = c->loop->ev;
+  const std::int64_t now = ev.now_ms();
+  std::int64_t timeout = config_.idle_timeout_ms;
+  bool mid = false;
+  if (c->state == kStReading) {
+    mid = c->parser.mid_request();
+    if (mid) timeout = config_.request_timeout_ms;
+  } else if (c->state == kStWriteArmed) {
     // A peer that stops draining its response is evicted after the same
     // stall budget as a mid-request read (progress refreshes the clock).
-    const std::int64_t due =
-        c->last_activity.load(std::memory_order_relaxed) +
-        std::max(config_.request_timeout_ms, 1);
-    if (now >= due) {
-      counters_.timer_evictions_total.fetch_add(1, std::memory_order_relaxed);
-      close_connection(c);
-      return;
-    }
-    loop_.wheel().arm(c->timer, now, due - now);
-  } else if (st != kStClosing) {
-    // Busy/async: owned elsewhere; look again after an idle period.
-    loop_.wheel().arm(c->timer, now, config_.idle_timeout_ms);
+    timeout = config_.request_timeout_ms;
+  } else {
+    // Async: the handler owns the answer; look again after an idle period.
+    ev.wheel().arm(c->timer, now, config_.idle_timeout_ms);
+    return;
   }
+  const std::int64_t due =
+      c->last_activity + std::max<std::int64_t>(timeout, 1);
+  if (now < due) {
+    ev.wheel().arm(c->timer, now, due - now);
+    return;
+  }
+  counters_.timer_evictions_total.fetch_add(1, std::memory_order_relaxed);
+  if (mid) {
+    // The peer stalled mid-request: answer 408 best-effort, then close.
+    on_request_done(408, 0);
+    const std::string wire = serialize_response(
+        error_response(408, "request timed out"), false, false);
+    [[maybe_unused]] const ssize_t n =
+        ::send(c->fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+  }
+  close_connection(c);
 }
 
-void HttpListener::drain_sweep() {
-  drain_swept_ = true;
-  if (listen_fd_ >= 0) {
-    if (!accept_paused_) loop_.del(listen_fd_);
-    loop_.wheel().cancel(accept_resume_timer_);
+void HttpListener::drain_sweep(Loop& l) {
+  l.drain_swept = true;
+  if (&l == loops_.front().get() && listen_fd_ >= 0) {
+    if (!accept_paused_) l.ev.del(listen_fd_);
+    l.ev.wheel().cancel(accept_resume_timer_);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
   // Idle keep-alive connections are closed at the request boundary they
   // are already at; mid-request/mid-response peers finish under their
   // normal deadlines.
-  for (std::size_t fd = 0; fd < conn_table_.size(); ++fd) {
-    Connection* c = conn_table_[fd];
-    if (c == nullptr) continue;
-    if (c->state.load(std::memory_order_acquire) == kStReading &&
-        !c->parser.mid_request()) {
+  for (Connection* c = l.conns; c != nullptr;) {
+    Connection* next = c->next;
+    if (c->state == kStReading && !c->parser.mid_request()) {
       close_connection(c);
     }
+    c = next;
   }
-}
-
-void HttpListener::process(Connection* c) {
-  if (c->write_phase) {
-    c->write_phase = false;
-    switch (flush_out(c)) {
-      case WriteResult::Pending:
-        rearm_write(c);
-        return;
-      case WriteResult::Closed:
-        post_close(c);
-        return;
-      case WriteResult::Done:
-        if (!after_write_done(c)) return;
-        break;
-    }
-  }
-  process_input(c);
 }
 
 bool HttpListener::after_write_done(Connection* c) {
@@ -547,12 +507,13 @@ bool HttpListener::after_write_done(Connection* c) {
   std::string().swap(c->out_owned);  // an idle connection holds no body
   c->out_body = {};
   c->outoff = 0;
+  c->state = kStReading;
   if (c->request_open) {
     c->request_open = false;
     on_request_end();
   }
   if (!c->keep_after_write || draining()) {
-    post_close(c);
+    close_connection(c);
     return false;
   }
   c->parser.reset();  // re-parses buffered pipelined bytes
@@ -566,35 +527,36 @@ void HttpListener::process_input(Connection* c) {
   for (;;) {
     while (c->parser.status() == RequestParser::Status::NeedMore) {
       if (budget == 0) {
-        rearm_read(c);  // firehose fairness; readiness re-checked at re-arm
+        // Firehose fairness: yield the loop. The MOD re-polls readiness,
+        // which queues a fresh edge for the bytes still unread.
+        c->loop->ev.mod(c->fd, c, kReadEvents);
         return;
       }
       if (!drained) {
         const std::size_t want = std::min(sizeof buf, budget);
         const ssize_t n = ::recv(c->fd, buf, want, 0);
         if (n > 0) {
+          c->last_activity = c->loop->ev.now_ms();
           c->parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
           budget -= static_cast<std::size_t>(n);
           drained = static_cast<std::size_t>(n) < want;
           continue;
         }
         if (n == 0) {  // peer closed
-          post_close(c);
+          close_connection(c);
           return;
         }
         if (errno == EINTR) continue;
         if (errno != EAGAIN && errno != EWOULDBLOCK) {
-          post_close(c);
+          close_connection(c);
           return;
         }
       }
-      // Drained, by a short read or EAGAIN. No recv just to see EAGAIN: the
-      // EPOLLONESHOT re-arm re-polls readiness, so bytes that arrived since
-      // still raise an event.
+      // Drained, by a short read or EAGAIN. No recv just to see EAGAIN:
+      // the socket was empty at that read, so any byte that arrives later
+      // raises a new edge.
       if (!c->parser.mid_request() && draining()) {
-        post_close(c);  // idle keep-alive at a request boundary: drain now
-      } else {
-        rearm_read(c);
+        close_connection(c);  // idle keep-alive at a request boundary
       }
       return;
     }
@@ -642,13 +604,10 @@ void HttpListener::start_error_response(Connection* c, Response&& resp) {
   c->keep_after_write = false;
   c->pending_request_id.clear();  // a request that did not parse has no id
   stage_response(c, std::move(resp), false, false);
-  switch (flush_out(c)) {
-    case WriteResult::Pending:
-      rearm_write(c);
-      return;
-    default:
-      post_close(c);  // close after the error response either way
-      return;
+  if (flush_out(c) == WriteResult::Pending) {
+    await_write(c);  // closed once written: keep_after_write is false
+  } else {
+    close_connection(c);  // close after the error response either way
   }
 }
 
@@ -658,14 +617,14 @@ bool HttpListener::finish_request(Connection* c, const Request& req) {
   c->request_open = true;
   c->pending_head = req.method == "HEAD";
   c->pending_keep = req.keep_alive();
-  // Park *before* offering the request to the async seam: a fast async
-  // completion may race back through the loop before this thread resumes.
-  c->state.store(kStAsync, std::memory_order_release);
+  // Park before offering the request to the async seam; the completion is
+  // a post to this loop, so it runs after this call returns.
+  c->state = kStAsync;
   if (dispatch_async(req, c->pending_request_id,
                      ResponseToken{c, c->epoch})) {
     return false;
   }
-  c->state.store(kStBusy, std::memory_order_relaxed);
+  c->state = kStReading;
   Response resp;
   try {
     resp = handle_request(req, c->pending_request_id);
@@ -684,14 +643,10 @@ bool HttpListener::start_response(Connection* c, Response&& resp) {
   stage_response(c, std::move(resp), c->pending_head, c->keep_after_write);
   switch (flush_out(c)) {
     case WriteResult::Pending:
-      rearm_write(c);
+      await_write(c);
       return false;
     case WriteResult::Closed:
-      if (c->request_open) {
-        c->request_open = false;
-        on_request_end();
-      }
-      post_close(c);
+      close_connection(c);  // also ends the open request
       return false;
     case WriteResult::Done:
       return after_write_done(c);
@@ -699,30 +654,21 @@ bool HttpListener::start_response(Connection* c, Response&& resp) {
   return false;  // unreachable
 }
 
-bool HttpListener::token_live(const ResponseToken& token,
-                              Connection** out) noexcept {
-  auto* c = static_cast<Connection*>(token.conn);
-  if (c == nullptr || c->epoch != token.epoch ||
-      c->state.load(std::memory_order_acquire) != kStAsync) {
-    return false;
-  }
-  *out = c;
-  return true;
-}
-
 void HttpListener::complete_async(ResponseToken token, Response resp) {
-  loop_.post([this, token, resp = std::move(resp)]() mutable {
+  // A parked connection is never closed before its answer, so its owning
+  // loop (fixed at construction) can be read from any thread.
+  auto* c = static_cast<Connection*>(token.conn);
+  c->loop->ev.post([this, token, resp = std::move(resp)]() mutable {
     finish_async(token, std::move(resp));
   });
 }
 
 void HttpListener::finish_async(ResponseToken token, Response resp) {
-  Connection* c = nullptr;
-  if (!token_live(token, &c)) return;  // token already consumed or stale
-  c->state.store(kStBusy, std::memory_order_relaxed);
+  auto* c = static_cast<Connection*>(token.conn);
+  if (c->epoch != token.epoch || c->state != kStAsync) return;  // stale
   if (start_response(c, std::move(resp))) {
-    // Keep-alive survived: continue with any buffered pipelined input on
-    // the loop thread (recv hits EAGAIN and re-arms in the common case).
+    // Keep-alive survived: continue with any buffered pipelined input and
+    // read what arrived while the request was parked.
     process_input(c);
   }
 }

@@ -1,32 +1,35 @@
 #pragma once
-// The network front end of mcmm serve: an edge-triggered epoll readiness
-// loop (serve/event_loop.hpp) with a per-connection state machine, feeding
-// a parse/compute worker pool through a lock-free single-producer /
-// multi-consumer ring of *ready* connections (same futex-backed
-// atomic-wait/notify pattern as the gpusim fork-join pool, DESIGN.md §3.1).
-// Connections are no longer owned by threads: one loop thread multiplexes
-// every socket, so a handful of threads holds tens of thousands of idle
-// keep-alive connections.
+// The network front end of mcmm serve: edge-triggered epoll readiness loops
+// (serve/event_loop.hpp), each owning its connections for life. A loop
+// reads, parses, calls the handler and writes on its own thread, so a
+// request never changes threads and a connection is registered with epoll
+// once: EPOLLIN|EPOLLRDHUP|EPOLLET from accept on, EPOLLOUT added only
+// while a response is partly written.
+//
+// Loop 0 accepts on the one listening socket and places each connection:
+// on the first loop, in index order, that owns fewer than kLoopShare (64),
+// or, once every loop owns that many, on the loop that owns the fewest. A
+// loop's thread starts with its first connection, so light traffic runs on
+// one thread and 512 connections spread over every loop.
 //
 // The loop is split from the application: HttpListener owns sockets,
 // threads, parsing, deadlines, and response framing, and hands each parsed
 // request to a virtual handle_request(). serve::Server plugs the knowledge
 // base in; gateway::Gateway (DESIGN.md §3.3) plugs a reverse proxy into
-// the very same loop — its upstream legs ride the listener's event loop
-// through dispatch_async()/complete_async(), so a proxied request in
-// flight costs a state machine, not a blocked thread.
+// the very same loops — its upstream legs ride loop 0 through
+// dispatch_async()/complete_async(), so a proxied request in flight costs
+// a state machine, not a blocked thread.
 //
 // Robustness posture (see DESIGN.md §3.2): deadlines live in a timer
-// wheel, not in per-read poll(2) calls — a stalled mid-request peer gets
-// 408, an idle keep-alive peer is closed silently, a peer that stops
-// draining its response is evicted; the parser's size caps turn
+// wheel per loop, not in per-read poll(2) calls — a stalled mid-request
+// peer gets 408, an idle keep-alive peer is closed silently, a peer that
+// stops draining its response is evicted; the parser's size caps turn
 // header/body bombs into 413/414/431; RLIMIT_NOFILE is raised to the hard
 // limit at startup and accepts pause at the ceiling instead of dying on
 // EMFILE; SIGTERM (via shutdown()) stops the acceptor, lets in-flight
 // requests finish, closes keep-alive connections at the next request
 // boundary, and joins every thread before run() returns.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -42,41 +45,11 @@
 
 namespace mcmm::serve {
 
-/// Lock-free SPMC queue of ready connections. The loop thread is the
-/// single producer; parse/compute workers pop. Bounded: a full ring blocks
-/// the producer (backpressure on event dispatch) rather than buffering
-/// without limit. Shutdown is by poison pill — close(n) enqueues n
-/// sentinels so each of the n waiting consumers wakes through the normal
-/// push path (no separate closed-flag wait that could miss a notify).
-class DispatchQueue {
- public:
-  /// Pushes a ready connection; blocks while full. False once closed.
-  /// `notify=false` skips the consumer wake — only safe when the producer
-  /// guarantees it will drain the item itself (the loop's inline batch).
-  bool push(void* conn, bool notify = true) noexcept;
-  /// Pops the next ready connection; blocks while empty. nullptr once a
-  /// sentinel arrives.
-  void* pop() noexcept;
-  /// Non-blocking pop; nullptr when empty or a sentinel is at the head.
-  void* try_pop() noexcept;
-  /// Marks closed and enqueues `consumers` sentinels (producer-side only).
-  void close(std::size_t consumers) noexcept;
-
- private:
-  static constexpr std::size_t kCapacity = 16384;  // power of two
-  static constexpr std::uintptr_t kEmpty = 0;
-  static constexpr std::uintptr_t kPoison = 1;
-  std::array<std::atomic<std::uintptr_t>, kCapacity> ring_{};
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-  std::atomic<bool> closed_{false};
-};
-
-/// Socket/thread-pool configuration shared by every HttpListener.
+/// Socket/loop configuration shared by every HttpListener.
 struct ListenerConfig {
   std::string host{"127.0.0.1"};
   std::uint16_t port{8080};  ///< 0 picks an ephemeral port (see port())
-  unsigned threads{0};       ///< parse/compute workers; 0 = min(hw, 8)
+  unsigned threads{0};       ///< event loops (threads); 0 = min(hw, 8)
   /// listen(2) queue depth. A c10k ramp dials connections far faster than
   /// one epoll iteration can accept them; 128 overflows the SYN queue and
   /// strands clients in 1s kernel retransmit cycles.
@@ -101,13 +74,14 @@ struct ResponseToken {
 };
 
 /// The reusable HTTP/1.1 server loop. Derived classes implement
-/// handle_request() (called concurrently from worker threads and the loop
-/// thread) and may observe traffic through the on_*() hooks. Every
-/// response is stamped with an X-Request-Id header — the client's own when
-/// it sent a well-formed one, a freshly minted id otherwise — so log lines
-/// and metrics correlate across a gateway/replica hop.
+/// handle_request() (called concurrently from the loop threads, each for
+/// the connections it owns) and may observe traffic through the on_*()
+/// hooks. Every response is stamped with an X-Request-Id header — the
+/// client's own when it sent a well-formed one, a freshly minted id
+/// otherwise — so log lines and metrics correlate across a gateway/replica
+/// hop.
 ///
-/// Derived destructors MUST call shutdown() + join() (worker threads
+/// Derived destructors MUST call shutdown() + join() (loop threads
 /// dispatch virtually into the derived class until join() returns).
 class HttpListener {
  public:
@@ -117,20 +91,19 @@ class HttpListener {
   HttpListener(const HttpListener&) = delete;
   HttpListener& operator=(const HttpListener&) = delete;
 
-  /// Binds + listens, probes/raises RLIMIT_NOFILE, and spawns the loop
-  /// thread and workers. Throws mcmm::Error when the socket cannot be
-  /// bound.
+  /// Binds + listens, probes/raises RLIMIT_NOFILE, and starts loop 0's
+  /// thread. Throws mcmm::Error when the socket cannot be bound.
   void start();
 
   /// The bound port (resolves port 0 to the kernel-assigned one).
   [[nodiscard]] std::uint16_t port() const noexcept { return bound_port_; }
 
-  /// Initiates graceful drain. Async-signal-safe: an atomic store plus an
-  /// eventfd write; all orderly teardown happens on the loop thread it
-  /// wakes.
+  /// Initiates graceful drain. Async-signal-safe: an atomic store plus one
+  /// eventfd write per loop; all orderly teardown happens on the loop
+  /// threads it wakes.
   void shutdown() noexcept;
 
-  /// Waits until the loop thread and every worker exited.
+  /// Waits until every loop thread exited.
   void join();
 
   /// start() + join() — the CLI entry point.
@@ -151,14 +124,23 @@ class HttpListener {
     return max_connections_;
   }
 
+  /// Loops whose threads have started: loop 0 at start(), each other loop
+  /// with its first connection. `threads` caps it.
+  [[nodiscard]] std::size_t loops_started() const noexcept {
+    return loops_started_.load(std::memory_order_relaxed);
+  }
+
+  /// Connections each started loop owns now, by loop index.
+  [[nodiscard]] std::vector<std::size_t> loop_connections() const;
+
  protected:
   /// One parsed request -> one response. `request_id` is the correlation
   /// id the listener will stamp on the wire (echo it upstream if the
   /// response is assembled from another hop). A by-reference response
   /// (Response::header_block) must view storage that outlives join().
-  /// Handlers should return promptly: a handler that blocks parks one
-  /// parse/compute worker (or the loop thread itself, which also
-  /// dispatches) — slow work belongs behind dispatch_async().
+  /// Handlers run on the loop thread that owns the connection and should
+  /// return promptly: a handler that blocks stalls every connection of
+  /// that loop — slow work belongs behind dispatch_async().
   virtual Response handle_request(const Request& req,
                                   const std::string& request_id) = 0;
 
@@ -175,15 +157,16 @@ class HttpListener {
   }
 
   /// Completes a request accepted by dispatch_async(). Thread-safe; the
-  /// write happens on the loop thread. Tokens are single-use.
+  /// write happens on the loop that owns the token's connection. Tokens
+  /// are single-use.
   void complete_async(ResponseToken token, Response resp);
 
-  /// The readiness loop, for derived classes that multiplex their own
+  /// Loop 0's readiness loop, for derived classes that multiplex their own
   /// sockets (the gateway's upstream legs). Only valid between start()
   /// and join().
-  [[nodiscard]] EventLoop& loop() noexcept { return loop_; }
+  [[nodiscard]] EventLoop& loop() noexcept;
 
-  /// Traffic hooks, called from the loop/worker threads.
+  /// Traffic hooks, called from the loop threads.
   virtual void on_connection() noexcept {}
   /// Brackets handle_request (begin before, end after the response hits
   /// the wire) — derived classes keep their in-flight gauges here.
@@ -201,28 +184,32 @@ class HttpListener {
 
  private:
   struct Connection;
+  struct Loop;
   struct AcceptHandler;
   friend struct AcceptHandler;
 
   enum class WriteResult : std::uint8_t { Done, Pending, Closed };
 
-  void loop_main();
-  void worker_main();
-  /// Drains the ready ring on the loop thread between epoll waits: on a
-  /// single-core host the loop does most parse/compute work itself and the
-  /// hand-off never pays a context switch.
-  void help_workers();
+  void loop_main(Loop& l);
+  void start_thread(Loop& l);
   void accept_ready();
   void pause_accept() noexcept;
   void resume_accept() noexcept;
-  void dispatch(Connection* c, bool write_phase) noexcept;
-  /// Parse/compute entry, runs on a worker or the loop thread.
-  void process(Connection* c);
+  /// The loop a new connection goes to (see the header comment).
+  [[nodiscard]] Loop& place() noexcept;
+  /// Creates and registers a connection on its owning loop's thread.
+  void adopt(Loop& l, int fd);
+  /// Forgets one placed connection: the owner's and the listener's counts.
+  void release(Loop& l) noexcept;
+  /// A readiness event for `c`, on its loop.
+  void on_connection_event(Connection* c);
+  /// Finishes a partly written response after EPOLLOUT.
+  void resume_write(Connection* c);
   /// Reads and answers requests until the socket is drained (a short read
   /// or EAGAIN), the read budget is spent, or the connection is parked.
   void process_input(Connection* c);
   /// True to continue parsing buffered pipelined input; false when the
-  /// connection was parked (re-armed, write-pending, async) or closed.
+  /// connection was parked (write-pending, async) or closed.
   bool finish_request(Connection* c, const Request& req);
   /// Stages the header section in the connection's reused buffer and the
   /// body as a view (or the moved-in owned body) for one gather write.
@@ -236,42 +223,33 @@ class HttpListener {
   /// continue; false when parked or closed.
   bool after_write_done(Connection* c);
   WriteResult flush_out(Connection* c) noexcept;
-  void rearm_read(Connection* c) noexcept;
-  void rearm_write(Connection* c) noexcept;
-  void post_close(Connection* c);
-  // Loop-thread-only paths.
+  /// Adds EPOLLOUT while the rest of a response waits for buffer space.
+  void await_write(Connection* c) noexcept;
   void close_connection(Connection* c) noexcept;
   void conn_timer_fired(Connection* c);
   void finish_async(ResponseToken token, Response resp);
-  void drain_sweep();
-  [[nodiscard]] bool token_live(const ResponseToken& token,
-                                Connection** out) noexcept;
+  void drain_sweep(Loop& l);
 
   ListenerConfig config_;
   LoopCounters counters_;
-  EventLoop loop_;
-  DispatchQueue queue_;
+  std::vector<std::unique_ptr<Loop>> loops_;  // fixed at construction
   std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> loops_started_{0};
+  std::atomic<std::size_t> loops_running_{0};
+  std::atomic<std::uint64_t> next_epoch_{1};
   int listen_fd_{-1};
   std::uint16_t bound_port_{0};
   std::size_t max_connections_{0};
-  std::vector<Connection*> conn_table_;  // indexed by fd; loop thread only
-  std::size_t conn_count_{0};            // loop thread only
-  int silent_dispatches_{0};             // loop thread only, per iteration
-  std::uint64_t next_epoch_{1};          // loop thread only
-  bool accept_paused_{false};            // loop thread only
-  bool drain_swept_{false};              // loop thread only
-  Timer accept_resume_timer_;
+  bool accept_paused_{false};  // loop 0 only
+  Timer accept_resume_timer_;  // on loop 0's wheel
   std::unique_ptr<AcceptHandler> accept_handler_;
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
   bool started_{false};
 };
 
 struct ServerConfig {
   std::string host{"127.0.0.1"};
   std::uint16_t port{8080};  ///< 0 picks an ephemeral port
-  unsigned threads{0};       ///< parse/compute workers; 0 = min(hw, 8)
+  unsigned threads{0};       ///< event loops (threads); 0 = min(hw, 8)
   int backlog{1024};
   int request_timeout_ms{5000};  ///< mid-request read stall -> 408
   int idle_timeout_ms{5000};     ///< keep-alive with no next request -> close

@@ -10,6 +10,8 @@
 #include <map>
 
 #include "bench_support/stream_kernels.hpp"
+#include "gpusim/allocator.hpp"
+#include "gpusim/device.hpp"
 #include "models/stdparx/stdparx.hpp"
 
 namespace mcmm::bench {
@@ -137,7 +139,29 @@ TEST_P(StreamPerVendor, EveryRouteComputesTheSameCycle) {
   }
 }
 
+/// Gives the vendor's Platform device red zones while in scope: each new
+/// block starts canary-filled and a freed one is poisoned, so a route
+/// verifies memory it wrote itself, not the values the previous route
+/// (or test) left in a recycled block. Restores the guard size after.
+class FreshDeviceMemory {
+ public:
+  explicit FreshDeviceMemory(Vendor v)
+      : allocator_(gpusim::Platform::instance().device(v).allocator()),
+        saved_(allocator_.guard_bytes()) {
+    allocator_.set_guard_bytes(64);
+  }
+  ~FreshDeviceMemory() { allocator_.set_guard_bytes(saved_); }
+
+  FreshDeviceMemory(const FreshDeviceMemory&) = delete;
+  FreshDeviceMemory& operator=(const FreshDeviceMemory&) = delete;
+
+ private:
+  gpusim::DeviceAllocator& allocator_;
+  std::size_t saved_;
+};
+
 TEST_P(StreamPerVendor, AllRoutesVerify) {
+  const FreshDeviceMemory fresh(GetParam());
   for (auto& bench : stream_benchmarks_for(GetParam())) {
     const auto results = run_stream(*bench, kN, kReps);
     ASSERT_EQ(results.size(), 5u) << bench->label();

@@ -1,13 +1,18 @@
 // Loopback integration tests for the gateway: an in-process fleet of
 // serve::Servers behind an in-process Gateway, driven over real sockets.
 // Covers proxy correctness (byte-identical bodies, request-id and 304
-// propagation), fault tolerance (kill a replica under load, zero client
+// propagation, many client connections across the gateway's loops),
+// readiness (a replica that does not answer yet is neither picked nor
+// ejected), fault tolerance (kill a replica under load, zero client
 // failures), overload retries, hedging (via a deliberately slow fake
 // upstream), and graceful drain.
 #include "gateway/gateway.hpp"
 
+#include <arpa/inet.h>
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -43,6 +48,18 @@ bool is_hex_id(const std::string& id) {
   return true;
 }
 
+/// Waits (up to 5 s) until `n` replicas have passed a probe: a replica is
+/// not picked before its first successful probe.
+void wait_admitted(Gateway& gateway, std::size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (gateway.registry().healthy_count() < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(gateway.registry().healthy_count(), n);
+}
+
 class GatewayTest : public ::testing::Test {
  protected:
   void start_cluster(std::size_t replicas, GatewayConfig config = {},
@@ -65,6 +82,7 @@ class GatewayTest : public ::testing::Test {
     gateway_ = std::make_unique<Gateway>(std::move(endpoints),
                                          std::move(config));
     gateway_->start();
+    wait_admitted(*gateway_, replicas);
   }
 
   void TearDown() override {
@@ -89,6 +107,52 @@ TEST_F(GatewayTest, ProxiedBodyIsByteIdenticalToTheReplica) {
   EXPECT_EQ(got.body, want.body);
   EXPECT_EQ(got.header("Content-Type"), want.header("Content-Type"));
   EXPECT_EQ(got.header("ETag"), want.header("ETag"));
+}
+
+TEST_F(GatewayTest, HundredClientConnectionsGetByteIdenticalBodies) {
+  // 100 connections over a 4-loop gateway: 64 on loop 0, the rest on
+  // loop 1, while every upstream leg runs on loop 0 — so half the answers
+  // cross loops through complete_async().
+  start_cluster(3);
+  const char* targets[] = {"/v1/matrix?format=txt", "/v1/matrix",
+                           "/v1/claims", "/v1/cell/AMD/HIP/C%2B%2B"};
+  std::vector<std::string> want;
+  TestClient direct(servers_[0]->port());
+  for (const char* target : targets) {
+    const auto reply = direct.get(target);
+    ASSERT_EQ(reply.status, 200) << target;
+    want.push_back(reply.body);
+  }
+
+  constexpr std::size_t kConnections = 100;
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    clients.push_back(std::make_unique<TestClient>(gateway_->port()));
+    ASSERT_TRUE(clients.back()->connected());
+    ASSERT_EQ(clients.back()->get("/gateway/healthz").status, 200);
+  }
+  EXPECT_EQ(gateway_->loops_started(), 2u);
+  EXPECT_EQ(gateway_->loop_connections(),
+            (std::vector<std::size_t>{64, kConnections - 64}));
+
+  // Four client threads, each driving every fourth connection.
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < kConnections; i += 4) {
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          const auto reply = clients[i]->get(targets[(i + k) % want.size()]);
+          if (reply.status != 200 ||
+              reply.body != want[(i + k) % want.size()]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(GatewayTest, RequestIdIsEchoedEndToEnd) {
@@ -315,6 +379,66 @@ TEST_F(GatewayTest, DrainsCleanlyUnderLoad) {
   EXPECT_FALSE(late.connected() && late.get("/healthz").status == 200);
 }
 
+// --- Readiness -------------------------------------------------------------
+
+/// A bound, listening socket nobody accepts on yet: a replica that has its
+/// port but still builds its caches (as `mcmm cluster` replicas do while
+/// they run the perf campaign). Connections queue in the backlog unanswered.
+int unanswered_listener(std::uint16_t* port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (fd < 0 ||
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, 64) != 0) {
+    return -1;
+  }
+  socklen_t len = sizeof addr;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+TEST(GatewayReadiness, ReplicaNotYetAnsweringIsNeitherPickedNorEjected) {
+  std::uint16_t port = 0;
+  const int fd = unanswered_listener(&port);
+  ASSERT_GE(fd, 0);
+  GatewayConfig config;
+  config.port = 0;
+  config.threads = 2;
+  config.registry.probe_interval_ms = 10;
+  config.registry.probe_timeout_ms = 30;
+  config.registry.eject_after = 1;  // one failed probe would eject
+  Gateway gateway(std::vector<ReplicaEndpoint>{{"127.0.0.1", port}}, config);
+  gateway.start();
+
+  TestClient client(gateway.port());
+  for (int i = 0; i < 8; ++i) {
+    const auto health = client.get("/gateway/healthz");
+    EXPECT_EQ(health.status, 503);
+    EXPECT_EQ(health.header("Retry-After"), "1");
+    EXPECT_EQ(client.get("/v1/claims").status, 503)
+        << "a replica that never answered a probe must not be tried";
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_EQ(gateway.registry().at(0).health.load(), ReplicaHealth::Starting);
+  EXPECT_EQ(gateway.registry().ejections_total(), 0u);
+
+  // The replica comes up on the socket it was given and is admitted by
+  // its first successful probe.
+  ServerConfig server_config;
+  server_config.threads = 1;
+  server_config.adopt_fd = fd;
+  Server server(paper_matrix(), server_config);
+  server.start();
+  wait_admitted(gateway, 1);
+  EXPECT_EQ(client.get("/gateway/healthz").status, 200);
+  EXPECT_EQ(client.get("/v1/claims").status, 200);
+  EXPECT_EQ(gateway.registry().ejections_total(), 0u);
+}
+
 // --- Hedging -------------------------------------------------------------
 
 /// A scriptable upstream: answers the prober's /healthz like a replica and
@@ -426,6 +550,7 @@ TEST(GatewayEventDriven, SlowUpstreamsDoNotBlockGatewayThreads) {
   endpoints[1].port = b.port();
   Gateway gateway(std::move(endpoints), config);
   gateway.start();
+  wait_admitted(gateway, 2);
 
   const std::size_t baseline = task_count();
   constexpr int kClients = 16;
@@ -469,6 +594,7 @@ TEST(GatewayHedging, SlowPrimaryIsHedgedAndTheFastReplicaWins) {
   endpoints[1].port = fast.port();
   Gateway gateway(std::move(endpoints), config);
   gateway.start();
+  wait_admitted(gateway, 2);
 
   TestClient client(gateway.port());
   const auto start = std::chrono::steady_clock::now();
@@ -500,6 +626,7 @@ TEST(GatewayHedging, FastPrimaryNeverHedges) {
   endpoints[1].port = b.port();
   Gateway gateway(std::move(endpoints), config);
   gateway.start();
+  wait_admitted(gateway, 2);
 
   TestClient client(gateway.port());
   for (int i = 0; i < 8; ++i) {
@@ -525,6 +652,7 @@ TEST(GatewayHedging, PerfPathIsHedgeEligible) {
   endpoints[1].port = fast.port();
   Gateway gateway(std::move(endpoints), config);
   gateway.start();
+  wait_admitted(gateway, 2);
 
   TestClient client(gateway.port());
   const auto reply = client.get("/v1/perf?format=txt");
@@ -550,6 +678,7 @@ TEST(GatewayHedging, OffPrefixPathsAreNeverHedged) {
   endpoints[1].port = fast.port();
   Gateway gateway(std::move(endpoints), config);
   gateway.start();
+  wait_admitted(gateway, 2);
 
   TestClient client(gateway.port());
   const auto reply = client.get("/v1/claims");

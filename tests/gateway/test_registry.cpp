@@ -36,17 +36,45 @@ std::vector<ReplicaEndpoint> endpoints(std::size_t n) {
   return eps;
 }
 
-TEST(ReplicaRegistry, StartsHealthy) {
+/// Records one successful probe per replica: the state every test of the
+/// eject/readmit ladder starts from.
+void admit_all(ReplicaRegistry& registry) {
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    registry.record_probe(i, true, 0, 42);
+  }
+}
+
+TEST(ReplicaRegistry, StartsIneligibleUntilTheFirstSuccessfulProbe) {
   ReplicaRegistry registry(endpoints(3), no_probing());
   EXPECT_EQ(registry.size(), 3u);
-  EXPECT_EQ(registry.healthy_count(), 3u);
+  EXPECT_EQ(registry.healthy_count(), 0u);
+  EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Starting);
   std::vector<std::size_t> out;
+  registry.eligible(out);
+  EXPECT_TRUE(out.empty());
+
+  registry.record_probe(1, true, 0, 42);
+  EXPECT_EQ(registry.at(1).health.load(), ReplicaHealth::Healthy);
+  registry.eligible(out);
+  EXPECT_EQ(out, (std::vector<std::size_t>{1}));
+  admit_all(registry);
   registry.eligible(out);
   EXPECT_EQ(out, (std::vector<std::size_t>{0, 1, 2}));
 }
 
+TEST(ReplicaRegistry, FailuresBeforeTheFirstSuccessNeitherEjectNorAdmit) {
+  ReplicaRegistry registry(endpoints(1), no_probing());
+  for (int i = 0; i < 10; ++i) registry.record_probe(0, false, 0, -1);
+  EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Starting);
+  EXPECT_EQ(registry.ejections_total(), 0u);
+  EXPECT_EQ(registry.healthy_count(), 0u);
+  registry.record_probe(0, true, 0, 42);
+  EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Healthy);
+}
+
 TEST(ReplicaRegistry, EjectsAfterConsecutiveFailures) {
   ReplicaRegistry registry(endpoints(2), no_probing());
+  admit_all(registry);
   registry.record_probe(0, false, 0, -1);
   registry.record_probe(0, false, 0, -1);
   EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Healthy);
@@ -61,6 +89,7 @@ TEST(ReplicaRegistry, EjectsAfterConsecutiveFailures) {
 
 TEST(ReplicaRegistry, SuccessResetsTheFailureStreak) {
   ReplicaRegistry registry(endpoints(1), no_probing());
+  admit_all(registry);
   registry.record_probe(0, false, 0, -1);
   registry.record_probe(0, false, 0, -1);
   registry.record_probe(0, true, 0, 42);
@@ -71,6 +100,7 @@ TEST(ReplicaRegistry, SuccessResetsTheFailureStreak) {
 
 TEST(ReplicaRegistry, ReadmissionGoesThroughHalfOpen) {
   ReplicaRegistry registry(endpoints(1), no_probing());
+  admit_all(registry);
   for (int i = 0; i < 3; ++i) registry.record_probe(0, false, 0, -1);
   ASSERT_EQ(registry.at(0).health.load(), ReplicaHealth::Ejected);
 
@@ -85,6 +115,7 @@ TEST(ReplicaRegistry, ReadmissionGoesThroughHalfOpen) {
 
 TEST(ReplicaRegistry, HalfOpenFailureEjectsAgain) {
   ReplicaRegistry registry(endpoints(1), no_probing());
+  admit_all(registry);
   for (int i = 0; i < 3; ++i) registry.record_probe(0, false, 0, -1);
   registry.record_probe(0, true, 0, 42);
   ASSERT_EQ(registry.at(0).health.load(), ReplicaHealth::HalfOpen);
@@ -153,6 +184,8 @@ TEST(ReplicaHealthNames, ToString) {
   EXPECT_STREQ(mcmm::gateway::to_string(ReplicaHealth::Ejected), "ejected");
   EXPECT_STREQ(mcmm::gateway::to_string(ReplicaHealth::HalfOpen),
                "half-open");
+  EXPECT_STREQ(mcmm::gateway::to_string(ReplicaHealth::Starting),
+               "starting");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Conformance: the *executable* support matrix of the model embeddings must
-// agree with the paper dataset (Fig. 1), C++ column by C++ column. This is
+// agree with the paper dataset (Fig. 1), column by column: the C++ cell of
+// every model, and the Python cell of each vendor through pybindx. This is
 // the central integration test tying the knowledge base to the simulated
 // ecosystem.
 
@@ -12,6 +13,7 @@
 #include "models/hipx/hipx.hpp"
 #include "models/kokkosx/kokkosx.hpp"
 #include "models/ompx/ompx.hpp"
+#include "models/pybindx/pybindx.hpp"
 #include "models/stdparx/stdparx.hpp"
 #include "models/syclx/syclx.hpp"
 
@@ -20,8 +22,11 @@ namespace {
 
 const CompatibilityMatrix& matrix() { return data::paper_matrix(); }
 
+/// The Fig. 1 cell the embedding answers for: Python's own language for
+/// the Python model, C++ for every other.
 [[nodiscard]] SupportCategory category(Vendor v, Model m) {
-  return matrix().at(v, m, Language::Cpp).best_category();
+  const Language lang = m == Model::Python ? Language::Python : Language::Cpp;
+  return matrix().at(v, m, lang).best_category();
 }
 
 /// Does the embedding offer *any* executable route for (model, vendor)?
@@ -102,7 +107,15 @@ const CompatibilityMatrix& matrix() { return data::paper_matrix(); }
       // OpenMP fallback.
       return true;
     case Model::Python:
-      return false;  // no executable Python embedding in a C++ library
+      // pybindx: one Package per route Fig. 1's Python row names.
+      for (const auto p :
+           {pybindx::Package::CudaPython, pybindx::Package::CuPy,
+            pybindx::Package::Numba, pybindx::Package::CuNumeric,
+            pybindx::Package::CuPyROCm, pybindx::Package::PyHIP,
+            pybindx::Package::Dpnp, pybindx::Package::NumbaDpex}) {
+        if (pybindx::package_vendor(p) == v) return true;
+      }
+      return false;
   }
   return false;
 }
@@ -112,9 +125,6 @@ class ConformanceTest
 
 TEST_P(ConformanceTest, EmbeddingAvailabilityMatchesFigure1) {
   const auto [vendor, model] = GetParam();
-  if (model == Model::Python) {
-    GTEST_SKIP() << "Python column has no C++ runtime embedding";
-  }
   const SupportCategory cat = category(vendor, model);
   const bool runs = embedding_runs(model, vendor);
 
@@ -131,7 +141,9 @@ TEST_P(ConformanceTest, EmbeddingAvailabilityMatchesFigure1) {
     return;
   }
   EXPECT_EQ(runs, usable(cat))
-      << to_string(Combination{vendor, model, Language::Cpp})
+      << to_string(Combination{
+             vendor, model,
+             model == Model::Python ? Language::Python : Language::Cpp})
       << " rated " << category_name(cat);
 }
 

@@ -1,18 +1,22 @@
 // Loopback integration tests for the serve network layer: concurrent
 // keep-alive clients against a real listening socket, wire-level
 // conditional GETs, slow-client deadlines (408), pipelining, graceful
-// shutdown draining the worker pool, and transport parity — the bytes on
-// the wire equal serialize_response() over Api::handle(), through the
-// gather write, partial writes and the read budget.
+// shutdown draining the loops, connection placement across loops, the
+// event loop's same-thread posts, and transport parity — the bytes on the
+// wire equal serialize_response() over Api::handle(), through the gather
+// write, partial writes and the read budget.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -32,6 +36,9 @@ namespace {
 
 using mcmm::data::paper_matrix;
 using mcmm::serve::Api;
+using mcmm::serve::EpollHandler;
+using mcmm::serve::EventLoop;
+using mcmm::serve::LoopCounters;
 using mcmm::serve::RequestParser;
 using mcmm::serve::Server;
 using mcmm::serve::ServerConfig;
@@ -772,6 +779,110 @@ TEST_F(TransportTest, BurstBeyondTheReadBudgetIsAllAnswered) {
   EXPECT_TRUE(sent);
   EXPECT_EQ(got.size(), expected.size());
   EXPECT_TRUE(got == expected);
+}
+
+// --- Loop placement ------------------------------------------------------
+
+/// Opens `n` keep-alive connections and answers one request on each, so
+/// every one of them has been accepted and placed before this returns.
+void open_answered(std::uint16_t port, std::size_t n,
+                   std::vector<std::unique_ptr<TestClient>>& clients) {
+  for (std::size_t i = 0; i < n; ++i) {
+    clients.push_back(std::make_unique<TestClient>(port));
+    ASSERT_TRUE(clients.back()->connected());
+    ASSERT_EQ(clients.back()->get("/healthz").status, 200);
+  }
+}
+
+TEST(LoopPlacement, ConnectionsFillLoopsInOrderThenBalance) {
+  ServerConfig config;
+  config.port = 0;
+  config.threads = 4;
+  Server server(paper_matrix(), config);
+  server.start();
+  EXPECT_EQ(server.loops_started(), 1u);
+
+  // One loop's share: every connection stays on loop 0.
+  std::vector<std::unique_ptr<TestClient>> clients;
+  open_answered(server.port(), 64, clients);
+  EXPECT_EQ(server.loops_started(), 1u);
+  EXPECT_EQ(server.loop_connections(), (std::vector<std::size_t>{64}));
+
+  // 4 x 64 + 8: every loop starts, and once all hold 64 the rest spread.
+  open_answered(server.port(), 4 * 64 + 8 - 64, clients);
+  EXPECT_EQ(server.loops_started(), 4u);
+  const std::vector<std::size_t> owned = server.loop_connections();
+  ASSERT_EQ(owned.size(), 4u);
+  const auto [lo, hi] = std::minmax_element(owned.begin(), owned.end());
+  EXPECT_LE(*hi - *lo, 1u);
+  std::size_t total = 0;
+  for (const std::size_t n : owned) total += n;
+  EXPECT_EQ(total, 4u * 64u + 8u);
+
+  // Every connection, on whichever loop owns it, is answered again.
+  for (const auto& client : clients) {
+    EXPECT_EQ(client->get("/v1/cell/NVIDIA/CUDA/C%2B%2B").status, 200);
+  }
+  server.shutdown();
+  server.join();
+}
+
+// --- EventLoop ------------------------------------------------------------
+
+/// Reads one byte and posts an op from inside the handler, recording the
+/// wakeup count seen by both.
+struct PostingHandler final : EpollHandler {
+  EventLoop* loop{nullptr};
+  int fd{-1};
+  std::uint64_t handler_wakeups{0};
+  std::uint64_t op_wakeups{0};
+  std::atomic<bool> op_ran{false};
+  std::atomic<bool> stop{false};
+
+  void on_io(std::uint32_t /*events*/) override {
+    char byte = 0;
+    [[maybe_unused]] const ssize_t n = ::recv(fd, &byte, 1, 0);
+    handler_wakeups = loop->counters().wakeups_total.load();
+    loop->post([this] {
+      op_wakeups = loop->counters().wakeups_total.load();
+      op_ran.store(true);
+    });
+  }
+};
+
+TEST(EventLoopPost, SameThreadPostRunsThisIterationWithoutAWakeup) {
+  LoopCounters counters;
+  EventLoop loop(&counters);
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, pair), 0);
+  PostingHandler handler;
+  handler.loop = &loop;
+  handler.fd = pair[0];
+  loop.add(pair[0], &handler, EPOLLIN);
+  std::thread runner([&] { loop.run([&] { return handler.stop.load(); }); });
+
+  ASSERT_EQ(::send(pair[1], "x", 1, MSG_NOSIGNAL), 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!handler.op_ran.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(handler.op_ran.load());
+  // Time for a spurious wakeup to show, had the post written the eventfd.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t before_stop = counters.wakeups_total.load();
+  handler.stop.store(true);
+  loop.wake();
+  runner.join();
+
+  EXPECT_EQ(handler.op_wakeups, handler.handler_wakeups)
+      << "the op must run in the iteration that posted it";
+  EXPECT_EQ(before_stop, handler.handler_wakeups)
+      << "a same-thread post must not wake the loop again";
+  EXPECT_EQ(counters.wakeups_total.load(), handler.handler_wakeups + 1);
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 }  // namespace

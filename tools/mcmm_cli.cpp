@@ -1216,7 +1216,7 @@ int cmd_cluster(const std::vector<std::string>& args) {
   sup.host = "127.0.0.1";
   try {
     // fork() before any thread exists (the gateway constructor spawns the
-    // health prober, start() the worker pool).
+    // health prober, start() loop 0).
     std::vector<gateway::ReplicaProcess> replicas =
         gateway::spawn_replicas(static_cast<unsigned>(count), sup);
     std::vector<gateway::ReplicaEndpoint> backends;
